@@ -434,7 +434,7 @@ fn measure_sweep(quick: bool) -> Vec<SweepRow> {
                 }
                 let mut degraded_frames = 0usize;
                 for _ in 0..ticks {
-                    degraded_frames += server.tick().degraded;
+                    degraded_frames += server.tick_supervised().base.degraded;
                 }
                 let live = server.sessions().len();
                 let served_fraction = (ticks - server.overruns()) as f64 / ticks.max(1) as f64;

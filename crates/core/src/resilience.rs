@@ -16,6 +16,8 @@
 //!   the streaming loop walks on gaze loss: hold the last fixation with a
 //!   decaying confidence, widen the saliency crop, fall back to uniform
 //!   full-frame segmentation, and finally reuse the last mask.
+//!   [`rung_work`] maps a rung to its [`Work`]; the streaming evaluator
+//!   and the multi-session server both call it.
 //! * [`SoloError`] / [`FrameOutcome`] — the typed error layer replacing
 //!   infallible signatures on the streaming path, so faults propagate as
 //!   values rather than panics.
@@ -607,6 +609,49 @@ impl DegradeLadder {
     }
 }
 
+/// What a frame does once its rung is decided.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Work {
+    /// Present the held mask.
+    Reuse,
+    /// Sample the gaze-centred crop, its area widened by `widen` (1 is the
+    /// nominal crop), then segment.
+    Run {
+        /// Where the crop is centred.
+        gaze: GazePoint,
+        /// Area factor of the crop (≥ 1).
+        widen: f32,
+    },
+    /// Sample the gaze-free uniform map, then segment.
+    Uniform,
+}
+
+/// The work a degraded rung maps to — the one rung-to-work decision both
+/// the streaming evaluator and the server make. Hold asks the SSA, steered
+/// at the `hold` gaze, whether to run (`hold_runs`, called only on that
+/// rung); widen runs the widened crop at the `held` gaze; uniform runs the
+/// gaze-free map; every other rung reuses the mask. Budget gates stay with
+/// the caller.
+pub fn rung_work(
+    action: DegradeAction,
+    held: GazePoint,
+    hold: GazePoint,
+    hold_runs: impl FnOnce(GazePoint) -> bool,
+) -> Work {
+    match action {
+        DegradeAction::HoldFixation { .. } if hold_runs(hold) => Work::Run {
+            gaze: hold,
+            widen: 1.0,
+        },
+        DegradeAction::WidenCrop { factor } => Work::Run {
+            gaze: held,
+            widen: factor,
+        },
+        DegradeAction::UniformFallback => Work::Uniform,
+        _ => Work::Reuse,
+    }
+}
+
 /// Accuracy aggregated over the frames spent on one ladder rung.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct RungScore {
@@ -836,6 +881,40 @@ mod tests {
         };
         assert!(e.to_string().contains("deadline"));
         assert!(SoloError::NotConfigured("Ssa").to_string().contains("Ssa"));
+    }
+
+    #[test]
+    fn rung_work_maps_each_rung_and_asks_the_ssa_only_on_hold() {
+        let held = GazePoint::new(0.2, 0.3);
+        let hold = GazePoint::new(0.4, 0.5);
+        let never = |_: GazePoint| -> bool { panic!("only the hold rung asks the SSA") };
+        let hold_rung = DegradeAction::HoldFixation { confidence: 0.9 };
+        let asked = rung_work(hold_rung, held, hold, |g| {
+            assert_eq!(g, hold, "hold steers by the hold gaze");
+            true
+        });
+        assert_eq!(
+            asked,
+            Work::Run {
+                gaze: hold,
+                widen: 1.0
+            }
+        );
+        assert_eq!(rung_work(hold_rung, held, hold, |_| false), Work::Reuse);
+        assert_eq!(
+            rung_work(DegradeAction::WidenCrop { factor: 2.0 }, held, hold, never),
+            Work::Run {
+                gaze: held,
+                widen: 2.0
+            }
+        );
+        assert_eq!(
+            rung_work(DegradeAction::UniformFallback, held, hold, never),
+            Work::Uniform
+        );
+        for action in [DegradeAction::Nominal, DegradeAction::ReuseMask] {
+            assert_eq!(rung_work(action, held, hold, never), Work::Reuse);
+        }
     }
 
     #[test]

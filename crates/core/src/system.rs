@@ -1,8 +1,18 @@
 //! Streaming end-to-end evaluation: SSA decisions over a synthetic video,
 //! scored for accuracy (reused masks vs moving ground truth) and priced by
 //! the `solo-hw` pipeline models (Sections 5.3, 6.3, 6.6).
+//!
+//! One private frame loop serves every entry point. Per frame the gaze
+//! arrives through a [`FaultInjector`], speculation (when configured)
+//! pre-warms candidate index maps, the SSA — or, while the tracker is
+//! dark, the degradation ladder — picks the frame's [`Work`], the deadline
+//! may escalate it to a cheaper rung, and the held mask is refreshed and
+//! scored. [`StreamingEvaluator::run`] is that loop with no speculation,
+//! [`FaultPlan::none`] and no deadline; [`StreamingEvaluator::run_speculative`]
+//! adds speculation and [`StreamingEvaluator::run_with_faults`] a fault
+//! plan and a deadline.
 
-use solo_gaze::{EyePhase, GazePoint, GazePredictor, GazeSample};
+use solo_gaze::{GazePoint, GazePredictor, GazeSample};
 use solo_hw::calib::sensor::ADC_GROUPS_PER_COL;
 use solo_hw::soc::{
     Backbone as HwBackbone, CostBreakdown, Dataset as HwDataset, Pipeline, SocModel,
@@ -13,17 +23,13 @@ use solo_sampler::{gaze_saliency, uniform_subsample, IndexMap, SamplerSpec};
 use solo_scene::{Frame, VideoSequence};
 use solo_tensor::Tensor;
 
-use crate::metrics::{binary_iou, classified_iou};
+use crate::metrics::{binary_iou, classified_iou, IouAccumulator};
 use crate::resilience::{
-    DegradeAction, FaultInjector, FaultPlan, FrameOutcome, ResilienceConfig, ResilientReport,
-    RobustnessReport, RungScore, SoloError,
+    rung_work, DegradeAction, DegradeLadder, FaultInjector, FaultPlan, FrameOutcome,
+    ResilienceConfig, ResilientReport, RobustnessReport, RungScore, SoloError, Work,
 };
-use crate::solonet::{FoveatedPipeline, PipelineConfig};
+use crate::solonet::{FoveatedPipeline, PipelineConfig, SpeculationSet, SpeculativeCandidate};
 use crate::ssa::{Ssa, SsaConfig};
-
-/// Measured gaze samples kept as context for the ladder's predicted
-/// HoldFixation rung (the predictor windows further internally).
-const PREDICTOR_HISTORY: usize = 32;
 
 /// Aggregate results of streaming a video through SOLO with the SSA.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,6 +120,9 @@ impl SpeculationConfig {
             return Err(SoloError::InvalidConfig(
                 "commit_radius must be finite and > 0",
             ));
+        }
+        if self.deadline.us().is_nan() || self.deadline <= Latency::ZERO {
+            return Err(SoloError::InvalidConfig("deadline must be positive"));
         }
         if self.history < 2 && matches!(self.speculator, Speculator::Learned(_)) {
             return Err(SoloError::InvalidConfig(
@@ -222,67 +231,23 @@ impl StreamingEvaluator {
 
     /// Streams the whole video.
     pub fn run(&mut self, video: &VideoSequence) -> StreamingReport {
-        self.ssa.reset();
-        let down = video.config().dataset.resolution / 4;
-        let run_cost = self
-            .soc
-            .evaluate(Pipeline::Solo, self.hw_backbone, self.hw_dataset)
-            .latency()
-            .ms();
-        let skip_cost = self.soc.skip_path(self.hw_dataset).latency().ms();
-        let mut skipped = 0usize;
-        let mut latency_total = 0.0f64;
-        let mut b_sum = 0.0f64;
-        let mut c_sum = 0.0f64;
-        let mut scored = 0usize;
-        let mut held: Option<(Tensor, usize)> = None; // (full-res mask, class)
-        for i in 0..video.len() {
-            let frame = video.frame(i);
-            let preview = uniform_subsample(&frame.image, down, down);
-            // The saccade flag comes from the generator's ground-truth
-            // phase — the upper bound an ideal RNN detector reaches.
-            let decision =
-                self.ssa
-                    .step(&preview, frame.gaze.point, frame.gaze.phase.is_suppressed());
-            if decision.must_run() {
-                latency_total += run_cost;
-                if let Some(p) = self.pipeline.as_mut() {
-                    held = Some(segment_frame(p, &frame.image, frame.gaze.point));
-                }
-            } else {
-                skipped += 1;
-                latency_total += skip_cost;
-            }
-            // Score the currently-displayed mask against this frame's GT.
-            if let (Some((mask, class)), Some(gt_class)) = (&held, frame.ioi_class) {
-                b_sum += binary_iou(mask, &frame.ioi_mask) as f64;
-                c_sum += classified_iou(mask, *class, &frame.ioi_mask, gt_class.id()) as f64;
-                scored += 1;
-            }
-        }
-        StreamingReport {
-            frames: video.len(),
-            skipped,
-            b_iou: if scored == 0 {
-                0.0
-            } else {
-                (b_sum / scored as f64) as f32
-            },
-            c_iou: if scored == 0 {
-                0.0
-            } else {
-                (c_sum / scored as f64) as f32
-            },
-            mean_latency_ms: latency_total / video.len().max(1) as f64,
-        }
+        self.stream(
+            video,
+            None,
+            &FaultPlan::none(),
+            &ResilienceConfig::unlimited(),
+        )
+        .map(|(report, _)| report.base)
+        // lint:allow(P1): a disabled plan and the unlimited config always validate, and `new` always configures the SSA, so this pass has no error path
+        .expect("a fault-free, deadline-free pass cannot fail")
     }
 
     /// Streams the whole video under the speculate→commit frame protocol.
     ///
     /// While a saccade is in flight (the previous frame's phase was
-    /// suppressed — [`EyePhase::Saccade`] or its recovery window), the
-    /// start of the next frame — which overlaps the eye tracker's
-    /// measurement latency window — pre-warms
+    /// suppressed — [`solo_gaze::EyePhase::Saccade`] or its recovery
+    /// window), the start of the next frame — which overlaps the eye
+    /// tracker's measurement latency window — pre-warms
     /// saliency crops and SBS index maps for up to `cfg.k` candidate
     /// landing points via [`FoveatedPipeline::speculate_maps`]. Once the
     /// measured landing arrives, the nearest candidate within
@@ -302,173 +267,13 @@ impl StreamingEvaluator {
         video: &VideoSequence,
         cfg: &mut SpeculationConfig,
     ) -> FrameOutcome<SpeculativeReport> {
-        cfg.validate()?;
-        self.ssa.reset();
-        let down = video.config().dataset.resolution / 4;
-        let n = video.config().dataset.resolution;
-        let run_cost = self
-            .soc
-            .evaluate(Pipeline::Solo, self.hw_backbone, self.hw_dataset)
-            .latency()
-            .ms();
-        let skip_cost = self.soc.skip_path(self.hw_dataset).latency().ms();
-        let commit_cost = self
-            .soc
-            .speculative_commit_path(self.hw_backbone, self.hw_dataset)
-            .latency()
-            .ms();
-        let prewarm_ms: Vec<f64> = (0..=cfg.k)
-            .map(|k| {
-                self.soc
-                    .speculative_prewarm_path(self.hw_dataset, k)
-                    .latency()
-                    .ms()
-            })
-            .collect();
-        let mut budget = FrameBudget::new(cfg.deadline);
-        let mut stats = SpeculationStats {
-            reactive_run_latency_ms: run_cost,
-            ..SpeculationStats::default()
-        };
-        let mut commit_err_px = 0.0f64;
-        let mut hit_ms = 0.0f64;
-        let mut skipped = 0usize;
-        let mut latency_total = 0.0f64;
-        let mut reactive_total = 0.0f64;
-        let mut b_sum = 0.0f64;
-        let mut c_sum = 0.0f64;
-        let mut scored = 0usize;
-        let mut held: Option<(Tensor, usize)> = None;
-        let mut history: Vec<GazeSample> = Vec::new();
-        let mut prev_phase: Option<EyePhase> = None;
-        for i in 0..video.len() {
-            let frame = video.frame(i);
-            budget.start_frame();
-
-            // Pre-warm phase: runs at the top of the frame, before the
-            // measured landing is available.
-            let in_flight = prev_phase.is_some_and(|p| p.is_suppressed());
-            let mut cands: Vec<(GazePoint, f32)> = Vec::new();
-            if cfg.k > 0 && in_flight {
-                if budget.would_overrun(Latency::from_ms(prewarm_ms[cfg.k] + run_cost)) {
-                    stats.dropped_for_budget += 1;
-                } else {
-                    cands = match &mut cfg.speculator {
-                        Speculator::Oracle => vec![(frame.gaze.point, 1.0)],
-                        Speculator::Learned(p) => {
-                            if history.len() >= 2 {
-                                p.predict(&history).candidates(cfg.k)
-                            } else {
-                                Vec::new()
-                            }
-                        }
-                    };
-                }
-            }
-            let prewarm = prewarm_ms[cands.len().min(cfg.k)];
-            let mut set = match (self.pipeline.as_mut(), cands.is_empty()) {
-                (Some(p), false) => Some(p.speculate_maps(&frame.image, &cands)),
-                _ => None,
-            };
-            if !cands.is_empty() {
-                stats.speculated_frames += 1;
-                stats.prewarmed_candidates += cands.len();
-                stats.prewarm_latency_ms += prewarm;
-            }
-
-            // Measurement arrives; the SSA decision is exactly `run`'s.
-            let preview = uniform_subsample(&frame.image, down, down);
-            let decision =
-                self.ssa
-                    .step(&preview, frame.gaze.point, frame.gaze.phase.is_suppressed());
-            reactive_total += if decision.must_run() {
-                run_cost
-            } else {
-                skip_cost
-            };
-
-            let display_ms;
-            if decision.must_run() {
-                let measured = frame.gaze.point;
-                let mut nearest: Option<(usize, f32)> = None;
-                for (idx, (g, _)) in cands.iter().enumerate() {
-                    let d = g.distance(&measured);
-                    if nearest.is_none_or(|(_, bd)| d < bd) {
-                        nearest = Some((idx, d));
-                    }
-                }
-                let hit = nearest.filter(|&(_, d)| d <= cfg.commit_radius);
-                if let Some(p) = self.pipeline.as_mut() {
-                    let committed = set
-                        .take()
-                        .and_then(|s| s.commit(measured, cfg.commit_radius));
-                    held = Some(match committed {
-                        Some(c) => {
-                            let out = finish_segment(p, &c.map, &frame.image, measured);
-                            c.map.recycle();
-                            out
-                        }
-                        None => segment_frame(p, &frame.image, measured),
-                    });
-                }
-                match hit {
-                    Some((idx, _)) => {
-                        stats.committed += 1;
-                        commit_err_px += cands[idx].0.distance_px(&measured, n, n) as f64;
-                        hit_ms += commit_cost;
-                        display_ms = commit_cost;
-                    }
-                    None => {
-                        if !cands.is_empty() {
-                            stats.missed += 1;
-                        }
-                        display_ms = run_cost;
-                    }
-                }
-            } else {
-                if !cands.is_empty() {
-                    stats.aborted_sets += 1;
-                }
-                skipped += 1;
-                display_ms = skip_cost;
-            }
-            if let Some(s) = set.take() {
-                s.abort();
-            }
-            latency_total += display_ms;
-            if !budget.charge(Latency::from_ms(prewarm + display_ms)) {
-                stats.budget_overruns += 1;
-            }
-
-            if let (Some((mask, class)), Some(gt_class)) = (&held, frame.ioi_class) {
-                b_sum += binary_iou(mask, &frame.ioi_mask) as f64;
-                c_sum += classified_iou(mask, *class, &frame.ioi_mask, gt_class.id()) as f64;
-                scored += 1;
-            }
-
-            history.push(frame.gaze);
-            if history.len() > cfg.history {
-                history.remove(0);
-            }
-            prev_phase = Some(frame.gaze.phase);
-        }
-        stats.mean_commit_error_px = mean(commit_err_px, stats.committed);
-        stats.mean_hit_latency_ms = if stats.committed == 0 {
-            0.0
-        } else {
-            hit_ms / stats.committed as f64
-        };
-        Ok(SpeculativeReport {
-            base: StreamingReport {
-                frames: video.len(),
-                skipped,
-                b_iou: mean(b_sum, scored),
-                c_iou: mean(c_sum, scored),
-                mean_latency_ms: latency_total / video.len().max(1) as f64,
-            },
-            reactive_latency_ms: reactive_total / video.len().max(1) as f64,
-            spec: stats,
-        })
+        let (_, report) = self.stream(
+            video,
+            Some(cfg),
+            &FaultPlan::none(),
+            &ResilienceConfig::unlimited(),
+        )?;
+        Ok(report)
     }
 
     /// Streams the whole video under a fault plan, degrading gracefully.
@@ -492,76 +297,60 @@ impl StreamingEvaluator {
         plan: &FaultPlan,
         config: &ResilienceConfig,
     ) -> FrameOutcome<ResilientReport> {
-        self.run_with_faults_predicting(video, plan, config, None)
+        let (report, _) = self.stream(video, None, plan, config)?;
+        Ok(report)
     }
 
-    /// [`Self::run_with_faults`] with a gaze predictor wired into the
-    /// degradation ladder: during a blink or dropout the `HoldFixation`
-    /// rung consumes a *predicted* fixation (forecast from the measured
-    /// gaze history) instead of the decayed held one. With `predictor:
-    /// None` the behavior — and, under a zero-rate plan, the report — is
-    /// bit-identical to [`Self::run_with_faults`].
-    pub fn run_with_faults_predicting(
+    /// The frame loop behind every entry point. Both returned reports
+    /// share one `base`; `spec` is empty without speculation.
+    fn stream(
         &mut self,
         video: &VideoSequence,
+        spec: Option<&mut SpeculationConfig>,
         plan: &FaultPlan,
         config: &ResilienceConfig,
-        mut predictor: Option<&mut GazePredictor>,
-    ) -> FrameOutcome<ResilientReport> {
+    ) -> FrameOutcome<(ResilientReport, SpeculativeReport)> {
         plan.validate()?;
         config.validate()?;
+        if let Some(cfg) = spec.as_deref() {
+            cfg.validate()?;
+        }
         self.ssa.reset();
         let n = video.config().dataset.resolution;
         let down = n / 4;
-        let widen = config.widen_factor;
         let oracle_sigma = PipelineConfig::for_dataset(&video.config().dataset, n, down).sigma;
-        // Pre-priced cost breakdowns per rung; SBS-running rungs also get a
-        // per-dead-group variant (a dead sub-group skips its readout rows).
-        let run_bd = self
-            .soc
-            .evaluate(Pipeline::Solo, self.hw_backbone, self.hw_dataset);
-        let skip_bd = self.soc.skip_path(self.hw_dataset);
-        let uniform_bd = self
-            .soc
-            .uniform_fallback_path(self.hw_backbone, self.hw_dataset);
-        let widen_bd =
-            self.soc
-                .degraded_solo_path(self.hw_backbone, self.hw_dataset, widen as f64, &[]);
-        let run_dead: Vec<CostBreakdown> = (0..ADC_GROUPS_PER_COL)
-            .map(|g| {
-                self.soc
-                    .degraded_solo_path(self.hw_backbone, self.hw_dataset, 1.0, &[g])
-            })
-            .collect();
-        let widen_dead: Vec<CostBreakdown> = (0..ADC_GROUPS_PER_COL)
-            .map(|g| {
-                self.soc
-                    .degraded_solo_path(self.hw_backbone, self.hw_dataset, widen as f64, &[g])
-            })
-            .collect();
+        let prices = RungPrices::new(
+            &self.soc,
+            self.hw_backbone,
+            self.hw_dataset,
+            config.widen_factor,
+        );
+        let mut spec = spec.map(|cfg| {
+            Speculation::new(
+                cfg,
+                &self.soc,
+                self.hw_backbone,
+                self.hw_dataset,
+                prices.run.latency().ms(),
+            )
+        });
 
         let mut injector = FaultInjector::new(*plan);
-        let mut ladder = crate::resilience::DegradeLadder::new();
+        let mut ladder = DegradeLadder::new();
         let mut budget = FrameBudget::new(config.deadline);
         let mut held: Option<(Tensor, usize)> = None;
         let mut held_gaze: Option<GazePoint> = None;
         let mut actions = Vec::with_capacity(video.len());
         let mut skipped = 0usize;
         let mut latency_total = 0.0f64;
-        let mut b_sum = 0.0f64;
-        let mut c_sum = 0.0f64;
-        let mut scored = 0usize;
+        let mut reactive_total = 0.0f64;
+        let mut score = IouAccumulator::new();
         let mut injected = 0usize;
-        let mut degraded = 0usize;
         let mut overruns = 0usize;
         let mut episode = 0usize;
         let mut recoveries = 0usize;
         let mut recovery_total = 0usize;
-        let mut rung_b = [0.0f64; DegradeAction::RUNGS];
-        let mut rung_c = [0.0f64; DegradeAction::RUNGS];
-        let mut rung_scored = [0usize; DegradeAction::RUNGS];
-        let mut rung_frames = [0usize; DegradeAction::RUNGS];
-        let mut history: Vec<GazeSample> = Vec::new();
+        let mut rung_score = [IouAccumulator::new(); DegradeAction::RUNGS];
 
         for i in 0..video.len() {
             let frame = video.frame(i);
@@ -569,6 +358,9 @@ impl StreamingEvaluator {
             let (obs, faults) = injector.observe(&frame.gaze);
             if faults.any() {
                 injected += 1;
+            }
+            if let Some(s) = spec.as_mut() {
+                s.prewarm(frame.gaze.point, &frame.image, self.pipeline.as_mut());
             }
             let mut preview = uniform_subsample(&frame.image, down, down);
             injector.corrupt_preview(&mut preview, &faults);
@@ -582,42 +374,25 @@ impl StreamingEvaluator {
                     Ok(decision) => {
                         ladder.reset();
                         held_gaze = Some(obs.sample.point);
-                        history.push(obs.sample);
-                        if history.len() > PREDICTOR_HISTORY {
-                            history.remove(0);
-                        }
                         let work = if decision.must_run() {
-                            Work::Run(RunKind::Focused(obs.sample.point))
+                            Work::Run {
+                                gaze: obs.sample.point,
+                                widen: 1.0,
+                            }
                         } else {
-                            Work::Skip
+                            Work::Reuse
                         };
                         (DegradeAction::Nominal, work)
                     }
                     Err(SoloError::GazeUnavailable { .. }) => {
                         let action = ladder.decide(config);
                         let gaze = held_gaze.unwrap_or_else(GazePoint::center);
-                        let work = match action {
-                            DegradeAction::HoldFixation { .. } => {
-                                // The held fixation drives the SSA like a
-                                // static gaze: a view change still reruns,
-                                // a stable view still reuses. With a
-                                // predictor attached, the rung consumes a
-                                // forecast fixation instead of the decayed
-                                // held one.
-                                let gaze = match predictor.as_deref_mut() {
-                                    Some(p) if history.len() >= 2 => p.predict(&history).point,
-                                    _ => gaze,
-                                };
-                                if self.ssa.step(&preview, gaze, false).must_run() {
-                                    Work::Run(RunKind::Focused(gaze))
-                                } else {
-                                    Work::Skip
-                                }
-                            }
-                            DegradeAction::WidenCrop { .. } => Work::Run(RunKind::Widened(gaze)),
-                            DegradeAction::UniformFallback => Work::Run(RunKind::Uniform),
-                            DegradeAction::Nominal | DegradeAction::ReuseMask => Work::Skip,
-                        };
+                        // The held fixation drives the SSA like a static
+                        // gaze: a view change still reruns, a stable view
+                        // still reuses.
+                        let work = rung_work(action, gaze, gaze, |g| {
+                            self.ssa.step(&preview, g, false).must_run()
+                        });
                         (action, work)
                     }
                     Err(e) => return Err(e),
@@ -628,14 +403,7 @@ impl StreamingEvaluator {
             let spike = faults.latency_spike.unwrap_or(1.0);
             let mut frame_overrun = false;
             let total = loop {
-                let bd = match (&work, faults.dead_group) {
-                    (Work::Skip, _) => &skip_bd,
-                    (Work::Run(RunKind::Uniform), _) => &uniform_bd,
-                    (Work::Run(RunKind::Widened(_)), Some(g)) => &widen_dead[g % widen_dead.len()],
-                    (Work::Run(RunKind::Widened(_)), None) => &widen_bd,
-                    (Work::Run(RunKind::Focused(_)), Some(g)) => &run_dead[g % run_dead.len()],
-                    (Work::Run(RunKind::Focused(_)), None) => &run_bd,
-                };
+                let bd = prices.of(work, faults.dead_group);
                 // The spike hits the segmentation stage only; the addition
                 // is exact for spike == 1, keeping fault-free runs
                 // bit-identical to `run`.
@@ -643,24 +411,22 @@ impl StreamingEvaluator {
                 if !budget.would_overrun(total) {
                     break total;
                 }
-                match action {
-                    DegradeAction::Nominal
-                    | DegradeAction::HoldFixation { .. }
-                    | DegradeAction::WidenCrop { .. }
-                        if matches!(work, Work::Run(_)) =>
-                    {
+                match (action, work) {
+                    (
+                        DegradeAction::Nominal
+                        | DegradeAction::HoldFixation { .. }
+                        | DegradeAction::WidenCrop { .. },
+                        Work::Run { .. },
+                    ) => {
                         action = DegradeAction::UniformFallback;
-                        work = Work::Run(RunKind::Uniform);
+                        work = Work::Uniform;
                     }
-                    DegradeAction::UniformFallback => {
+                    (DegradeAction::UniformFallback, _) => {
                         action = DegradeAction::ReuseMask;
-                        work = Work::Skip;
+                        work = Work::Reuse;
                     }
-                    _ => {
-                        // Already on the floor: charge it and record the
-                        // overrun.
-                        break total;
-                    }
+                    // Already on the floor: charge it and record the overrun.
+                    _ => break total,
                 }
                 frame_overrun = true;
             };
@@ -670,52 +436,30 @@ impl StreamingEvaluator {
             if frame_overrun {
                 overruns += 1;
             }
-            latency_total += total.ms();
 
             // Execute the work.
-            match &work {
-                Work::Skip => skipped += 1,
-                Work::Run(kind) => {
-                    if let Some(p) = self.pipeline.as_mut() {
-                        held = Some(match kind {
-                            RunKind::Focused(g) => segment_frame(p, &frame.image, *g),
-                            RunKind::Widened(g) => {
-                                let map = p.index_map_widened(&frame.image, *g, widen);
-                                finish_segment(p, &map, &frame.image, *g)
-                            }
-                            RunKind::Uniform => {
-                                let map = IndexMap::uniform(&p.config().spec());
-                                finish_segment(p, &map, &frame.image, GazePoint::center())
-                            }
-                        });
-                    } else if config.score_round_trip {
-                        held = Some(oracle_round_trip(
-                            &frame,
-                            n,
-                            down,
-                            oracle_sigma,
-                            kind,
-                            widen,
-                        ));
-                    }
-                }
+            if work == Work::Reuse {
+                skipped += 1;
+            } else if let Some(p) = self.pipeline.as_mut() {
+                held = Some(segment(p, &frame.image, work, spec.as_mut()));
+            } else if config.score_round_trip {
+                held = Some(oracle_round_trip(&frame, n, down, oracle_sigma, work));
             }
+            let reactive_ms = total.ms();
+            reactive_total += reactive_ms;
+            latency_total += match spec.as_mut() {
+                Some(s) => s.settle(work, reactive_ms, obs.sample, n),
+                None => reactive_ms,
+            };
 
             // Score the currently-displayed mask, overall and per rung.
             if let (Some((mask, class)), Some(gt_class)) = (&held, frame.ioi_class) {
-                let b = binary_iou(mask, &frame.ioi_mask) as f64;
-                let c = classified_iou(mask, *class, &frame.ioi_mask, gt_class.id()) as f64;
-                b_sum += b;
-                c_sum += c;
-                scored += 1;
-                let r = action.rung();
-                rung_b[r] += b;
-                rung_c[r] += c;
-                rung_scored[r] += 1;
+                let b = binary_iou(mask, &frame.ioi_mask);
+                let c = classified_iou(mask, *class, &frame.ioi_mask, gt_class.id());
+                score.push(b, c);
+                rung_score[action.rung()].push(b, c);
             }
-            rung_frames[action.rung()] += 1;
             if action.is_degraded() {
-                degraded += 1;
                 episode += 1;
             } else if episode > 0 {
                 recoveries += 1;
@@ -725,25 +469,19 @@ impl StreamingEvaluator {
             actions.push(action);
         }
 
-        let mut by_rung = [RungScore::default(); DegradeAction::RUNGS];
-        for r in 0..DegradeAction::RUNGS {
-            by_rung[r] = RungScore {
-                frames: rung_frames[r],
-                b_iou: mean(rung_b[r], rung_scored[r]),
-                c_iou: mean(rung_c[r], rung_scored[r]),
-            };
-        }
-        Ok(ResilientReport {
-            base: StreamingReport {
-                frames: video.len(),
-                skipped,
-                b_iou: mean(b_sum, scored),
-                c_iou: mean(c_sum, scored),
-                mean_latency_ms: latency_total / video.len().max(1) as f64,
-            },
+        let count = video.len().max(1) as f64;
+        let base = StreamingReport {
+            frames: video.len(),
+            skipped,
+            b_iou: score.b_iou(),
+            c_iou: score.c_iou(),
+            mean_latency_ms: latency_total / count,
+        };
+        let faulted = ResilientReport {
+            base,
             robustness: RobustnessReport {
                 injected_frames: injected,
-                degraded_frames: degraded,
+                degraded_frames: actions.iter().filter(|a| a.is_degraded()).count(),
                 deadline_overruns: overruns,
                 recoveries,
                 mean_recovery_frames: if recoveries == 0 {
@@ -751,61 +489,239 @@ impl StreamingEvaluator {
                 } else {
                     recovery_total as f64 / recoveries as f64
                 },
-                by_rung,
+                by_rung: std::array::from_fn(|r| RungScore {
+                    frames: actions.iter().filter(|a| a.rung() == r).count(),
+                    b_iou: rung_score[r].b_iou(),
+                    c_iou: rung_score[r].c_iou(),
+                }),
             },
             actions,
-        })
+        };
+        let speculative = SpeculativeReport {
+            base,
+            reactive_latency_ms: reactive_total / count,
+            spec: spec.map(Speculation::finish).unwrap_or_default(),
+        };
+        Ok((faulted, speculative))
     }
 }
 
-/// What a frame actually does once its rung is decided.
-enum Work {
-    Run(RunKind),
-    Skip,
+/// Every rung's cost breakdown, priced once per video. Rungs that re-read
+/// the SBS selection also get a variant per dead ADC sub-group (a dead
+/// sub-group skips its readout rows).
+struct RungPrices {
+    run: CostBreakdown,
+    skip: CostBreakdown,
+    uniform: CostBreakdown,
+    widen: CostBreakdown,
+    run_dead: Vec<CostBreakdown>,
+    widen_dead: Vec<CostBreakdown>,
 }
 
-/// How a run frame samples the image.
-enum RunKind {
-    /// Saliency-focused crop at this gaze (nominal or held fixation).
-    Focused(GazePoint),
-    /// Saliency crop with the widened Gaussian at this gaze.
-    Widened(GazePoint),
-    /// Uniform index map, no gaze prior.
-    Uniform,
+impl RungPrices {
+    fn new(soc: &SocModel, backbone: HwBackbone, dataset: HwDataset, widen: f32) -> Self {
+        let dead = |widen: f64| -> Vec<CostBreakdown> {
+            (0..ADC_GROUPS_PER_COL)
+                .map(|g| soc.degraded_solo_path(backbone, dataset, widen, &[g]))
+                .collect()
+        };
+        Self {
+            run: soc.evaluate(Pipeline::Solo, backbone, dataset),
+            skip: soc.skip_path(dataset),
+            uniform: soc.uniform_fallback_path(backbone, dataset),
+            widen: soc.degraded_solo_path(backbone, dataset, widen as f64, &[]),
+            run_dead: dead(1.0),
+            widen_dead: dead(widen as f64),
+        }
+    }
+
+    /// The breakdown `work` is charged at, given this frame's dead group.
+    fn of(&self, work: Work, dead_group: Option<usize>) -> &CostBreakdown {
+        match (work, dead_group) {
+            (Work::Reuse, _) => &self.skip,
+            (Work::Uniform, _) => &self.uniform,
+            (Work::Run { widen, .. }, Some(g)) if widen > 1.0 => {
+                &self.widen_dead[g % ADC_GROUPS_PER_COL]
+            }
+            (Work::Run { widen, .. }, None) if widen > 1.0 => &self.widen,
+            (Work::Run { .. }, Some(g)) => &self.run_dead[g % ADC_GROUPS_PER_COL],
+            (Work::Run { .. }, None) => &self.run,
+        }
+    }
 }
 
-fn mean(sum: f64, count: usize) -> f32 {
-    if count == 0 {
-        0.0
-    } else {
-        (sum / count as f64) as f32
+/// One pass's speculate→commit state: the forecaster, its own frame
+/// budget, the pre-priced pre-warm and commit paths, this frame's
+/// candidates and the ledger.
+struct Speculation<'c> {
+    cfg: &'c mut SpeculationConfig,
+    budget: FrameBudget,
+    /// Pre-warm latency of `k` candidates, for `k` in `0..=cfg.k`.
+    prewarm_ms: Vec<f64>,
+    commit_ms: f64,
+    run_ms: f64,
+    history: Vec<GazeSample>,
+    in_flight: bool,
+    cands: Vec<(GazePoint, f32)>,
+    set: Option<SpeculationSet>,
+    stats: SpeculationStats,
+    commit_err_px: f64,
+    hit_ms: f64,
+}
+
+impl<'c> Speculation<'c> {
+    fn new(
+        cfg: &'c mut SpeculationConfig,
+        soc: &SocModel,
+        backbone: HwBackbone,
+        dataset: HwDataset,
+        run_ms: f64,
+    ) -> Self {
+        Self {
+            budget: FrameBudget::new(cfg.deadline),
+            prewarm_ms: (0..=cfg.k)
+                .map(|k| soc.speculative_prewarm_path(dataset, k).latency().ms())
+                .collect(),
+            commit_ms: soc
+                .speculative_commit_path(backbone, dataset)
+                .latency()
+                .ms(),
+            run_ms,
+            history: Vec::new(),
+            in_flight: false,
+            cands: Vec::new(),
+            set: None,
+            stats: SpeculationStats {
+                reactive_run_latency_ms: run_ms,
+                ..SpeculationStats::default()
+            },
+            commit_err_px: 0.0,
+            hit_ms: 0.0,
+            cfg,
+        }
+    }
+
+    /// The top of a frame, before the measured gaze arrives: while a
+    /// saccade is in flight, forecasts up to `k` landing points and
+    /// pre-warms their maps — unless that would overrun the deadline.
+    fn prewarm(
+        &mut self,
+        truth: GazePoint,
+        image: &Tensor,
+        pipeline: Option<&mut FoveatedPipeline>,
+    ) {
+        self.budget.start_frame();
+        self.cands.clear();
+        let k = self.cfg.k;
+        if k == 0 || !self.in_flight {
+            return;
+        }
+        if self
+            .budget
+            .would_overrun(Latency::from_ms(self.prewarm_ms[k] + self.run_ms))
+        {
+            self.stats.dropped_for_budget += 1;
+            return;
+        }
+        self.cands = match &mut self.cfg.speculator {
+            Speculator::Oracle => vec![(truth, 1.0)],
+            Speculator::Learned(p) if self.history.len() >= 2 => {
+                p.predict(&self.history).candidates(k)
+            }
+            Speculator::Learned(_) => Vec::new(),
+        };
+        if let Some(p) = pipeline.filter(|_| !self.cands.is_empty()) {
+            self.set = Some(p.speculate_maps(image, &self.cands));
+        }
+    }
+
+    /// Takes the pre-warmed candidate nearest `gaze`, if one lies within
+    /// the commit radius; the others return to the buffer pool.
+    fn commit(&mut self, gaze: GazePoint) -> Option<SpeculativeCandidate> {
+        self.set.take()?.commit(gaze, self.cfg.commit_radius)
+    }
+
+    /// The end of a frame: aborts an uncommitted set, books the frame,
+    /// charges it against the deadline and returns its displayed latency —
+    /// the commit path on a hit (plus whatever fault surcharge the
+    /// reactive price carries), the reactive price otherwise.
+    fn settle(&mut self, work: Work, reactive_ms: f64, observed: GazeSample, n: usize) -> f64 {
+        if let Some(set) = self.set.take() {
+            set.abort();
+        }
+        let tried = !self.cands.is_empty();
+        let prewarm = self.prewarm_ms[self.cands.len().min(self.cfg.k)];
+        if tried {
+            self.stats.speculated_frames += 1;
+            self.stats.prewarmed_candidates += self.cands.len();
+            self.stats.prewarm_latency_ms += prewarm;
+        }
+        let hit = match work {
+            Work::Run { gaze, widen } if widen <= 1.0 => self
+                .cands
+                .iter()
+                .map(|(c, _)| (c.distance(&gaze), c.distance_px(&gaze, n, n)))
+                .min_by(|a, b| a.0.total_cmp(&b.0))
+                .filter(|&(d, _)| d <= self.cfg.commit_radius),
+            _ => None,
+        };
+        let display_ms = match (work, hit) {
+            (Work::Reuse, _) => {
+                if tried {
+                    self.stats.aborted_sets += 1;
+                }
+                reactive_ms
+            }
+            (_, Some((_, err_px))) => {
+                self.stats.committed += 1;
+                self.commit_err_px += err_px as f64;
+                let ms = self.commit_ms + (reactive_ms - self.run_ms);
+                self.hit_ms += ms;
+                ms
+            }
+            (_, None) => {
+                if tried {
+                    self.stats.missed += 1;
+                }
+                reactive_ms
+            }
+        };
+        if !self.budget.charge(Latency::from_ms(prewarm + display_ms)) {
+            self.stats.budget_overruns += 1;
+        }
+        self.history.push(observed);
+        if self.history.len() > self.cfg.history {
+            self.history.remove(0);
+        }
+        self.in_flight = observed.phase.is_suppressed();
+        display_ms
+    }
+
+    fn finish(self) -> SpeculationStats {
+        // Both sums are zero when nothing committed.
+        let committed = self.stats.committed.max(1) as f64;
+        SpeculationStats {
+            mean_commit_error_px: (self.commit_err_px / committed) as f32,
+            mean_hit_latency_ms: self.hit_ms / committed,
+            ..self.stats
+        }
     }
 }
 
 /// Oracle scoring for cost-only runs: round-trip the ground-truth mask
-/// through the rung's sampling geometry. A perfect segmenter would score
+/// through the work's sampling geometry. A perfect segmenter would score
 /// exactly this — what remains is the sampling loss of the rung itself.
-fn oracle_round_trip(
-    frame: &Frame,
-    n: usize,
-    d: usize,
-    sigma: f32,
-    kind: &RunKind,
-    widen: f32,
-) -> (Tensor, usize) {
+fn oracle_round_trip(frame: &Frame, n: usize, d: usize, sigma: f32, work: Work) -> (Tensor, usize) {
     let spec = |s: f32| SamplerSpec::new(n, n, d, d, s);
-    let map = match kind {
-        RunKind::Focused(g) => {
-            IndexMap::from_saliency(&spec(sigma), &gaze_saliency(d, d, (g.x, g.y), 0.15, 0.02))
-        }
-        RunKind::Widened(g) => {
+    let map = match work {
+        Work::Run { gaze, widen } => {
             let k = widen.max(1.0).sqrt();
             IndexMap::from_saliency(
                 &spec(sigma * k),
-                &gaze_saliency(d, d, (g.x, g.y), 0.15 * k, 0.02),
+                &gaze_saliency(d, d, (gaze.x, gaze.y), 0.15 * k, 0.02),
             )
         }
-        RunKind::Uniform => IndexMap::uniform(&spec(sigma)),
+        Work::Uniform | Work::Reuse => IndexMap::uniform(&spec(sigma)),
     };
     let gt = frame.ioi_mask.reshape(&[1, n, n]);
     let up = map
@@ -818,14 +734,27 @@ fn oracle_round_trip(
     (up, class)
 }
 
-/// Runs the foveated pipeline on a raw frame, returning the full-resolution
-/// binarized mask and the predicted class.
-fn segment_frame(
+/// Runs `work` through the foveated pipeline, returning the
+/// full-resolution binarized mask and the predicted class. A nominal crop
+/// commits a pre-warmed map at its gaze when speculation has one.
+fn segment(
     p: &mut FoveatedPipeline,
     image: &Tensor,
-    gaze: solo_gaze::GazePoint,
+    work: Work,
+    spec: Option<&mut Speculation<'_>>,
 ) -> (Tensor, usize) {
-    let map = p.index_map_at(image, gaze);
+    let (map, gaze) = match work {
+        Work::Run { gaze, widen } if widen > 1.0 => (p.index_map_widened(image, gaze, widen), gaze),
+        Work::Run { gaze, .. } => match spec.and_then(|s| s.commit(gaze)) {
+            Some(c) => {
+                let out = finish_segment(p, &c.map, image, gaze);
+                c.map.recycle();
+                return out;
+            }
+            None => (p.index_map_at(image, gaze), gaze),
+        },
+        Work::Uniform | Work::Reuse => (IndexMap::uniform(&p.config().spec()), GazePoint::center()),
+    };
     finish_segment(p, &map, image, gaze)
 }
 
@@ -835,7 +764,7 @@ fn finish_segment(
     p: &mut FoveatedPipeline,
     map: &IndexMap,
     image: &Tensor,
-    gaze: solo_gaze::GazePoint,
+    gaze: GazePoint,
 ) -> (Tensor, usize) {
     let full = p.config().full_res;
     let d = p.config().down_res;
@@ -1011,6 +940,17 @@ mod tests {
         assert!(bad.validate().is_err());
         bad.commit_radius = f32::NAN;
         assert!(bad.validate().is_err());
+        let mut bad = SpeculationConfig::oracle(1);
+        bad.deadline = Latency::from_ms(f64::NAN);
+        assert!(matches!(bad.validate(), Err(SoloError::InvalidConfig(_))));
+        bad.deadline = Latency::ZERO;
+        assert!(bad.validate().is_err());
+        bad.deadline = Latency::from_ms(-1.0);
+        assert!(bad.validate().is_err());
+        assert!(
+            SpeculationConfig::oracle(1).validate().is_ok(),
+            "+inf deadline"
+        );
         let mut learned = SpeculationConfig::learned(
             GazePredictor::new(&mut seeded_rng(8), solo_gaze::PredictorConfig::default()),
             2,

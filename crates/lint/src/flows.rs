@@ -38,11 +38,8 @@ pub fn is_hot_root(f: &FnItem) -> bool {
         Some("QPackedMatrix") if f.name.starts_with("qmatmul") => return true,
         Some("Tensor") if f.name == "qmatmul_packed" => return true,
         // The serving frame loop: every admitted user's deadline rides on
-        // one tick (plain or supervised), and admission prices the
-        // marginal session against it.
-        Some("Server") if matches!(f.name.as_str(), "tick" | "tick_supervised" | "admit") => {
-            return true
-        }
+        // one tick, and admission prices the marginal session against it.
+        Some("Server") if matches!(f.name.as_str(), "tick_supervised" | "admit") => return true,
         // The recovery surface rides inside the same tick deadline: the
         // supervisor's health verdicts and checkpoint restore must never
         // panic mid-frame.
@@ -517,11 +514,6 @@ mod tests {
             "crates/nn/src/linear.rs",
             Some("Linear"),
             "infer_quant"
-        )));
-        assert!(is_hot_root(&root(
-            "crates/serve/src/server.rs",
-            Some("Server"),
-            "tick"
         )));
         assert!(is_hot_root(&root(
             "crates/serve/src/server.rs",

@@ -45,11 +45,6 @@ pub struct Token {
 }
 
 impl Token {
-    /// Whether this token is the identifier `s`.
-    pub fn is_ident(&self, s: &str) -> bool {
-        self.kind == TokenKind::Ident && self.text == s
-    }
-
     /// Whether this token is the punctuation character `c`.
     pub fn is_punct(&self, c: char) -> bool {
         self.kind == TokenKind::Punct && self.text.as_bytes().first() == Some(&(c as u8))

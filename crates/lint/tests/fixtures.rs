@@ -407,12 +407,13 @@ fn p2_reaches_from_the_speculation_roots() {
 #[test]
 fn p2_reaches_from_the_serving_roots() {
     let repo = FixtureRepo::new("p2-serve");
-    // `Server::tick` is a hot root: every admitted user's frame deadline
-    // rides on it, so a panic source in a helper it reaches is a P2.
+    // `Server::tick_supervised` is a hot root: every admitted user's frame
+    // deadline rides on it, so a panic source in a helper it reaches is a
+    // P2.
     repo.write(
         "crates/serve/src/server.rs",
         "impl Server {\n\
-         \x20   pub fn tick(&mut self) { stack(4); }\n\
+         \x20   pub fn tick_supervised(&mut self) { stack(4); }\n\
          }\n\
          fn stack(s: usize) {\n\
          \x20   assert!(s > 0);\n\

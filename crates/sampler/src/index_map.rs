@@ -43,11 +43,6 @@ impl SamplerSpec {
             sigma,
         }
     }
-
-    /// Downsampling ratio in pixel count (`H·W / h·w`).
-    pub fn pixel_ratio(&self) -> f32 {
-        (self.src_h * self.src_w) as f32 / (self.out_h * self.out_w) as f32
-    }
 }
 
 /// The sampling map `H(i, j) = [g1(i, j), g2(i, j)]`: for every output pixel

@@ -131,11 +131,6 @@ impl DatasetConfig {
         self.resolution = resolution;
         self
     }
-
-    /// The three accuracy-experiment presets of Table 2, in paper order.
-    pub fn accuracy_suite() -> Vec<DatasetConfig> {
-        vec![Self::lvis_like(), Self::ade_like(), Self::aria_like()]
-    }
 }
 
 /// One supervised sample: a frame, the gazed instance and its ground truth.

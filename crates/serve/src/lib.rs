@@ -17,14 +17,14 @@
 //!   (f32 and int8 twins), the batched segmentation head and predictor;
 //! * [`Session`] — per-user trace, SSA, ladder and predictor hidden row;
 //! * [`Server`] — admission control priced by the batched marginal cost,
-//!   the frame-tick scheduler, and per-session overload degradation.
+//!   the frame tick ([`Server::tick_supervised`]), and per-session
+//!   overload degradation.
 //!
-//! The resilience layer rides on top: each session carries its own seeded
-//! fault plan, a [`Supervisor`] scores per-session health during
-//! [`Server::tick_supervised`], and chronically unhealthy sessions
-//! quarantine into a held-state stub until an exponential-backoff probe
-//! re-admits them from a [`SessionCheckpoint`] — all without perturbing a
-//! single bit of a healthy batch-mate's output.
+//! The resilience layer is part of that one tick: each session carries its
+//! own seeded fault plan, a [`Supervisor`] scores per-session health, and
+//! chronically unhealthy sessions quarantine into a held-state stub until
+//! an exponential-backoff probe re-admits them from a [`SessionCheckpoint`]
+//! — all without perturbing a single bit of a healthy batch-mate's output.
 //!
 //! ```
 //! use solo_serve::{AdmitOutcome, ServeModel, ServeModelConfig, Server, ServerConfig, SessionSpec};

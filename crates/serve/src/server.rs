@@ -1,42 +1,37 @@
 //! The multi-session server: a frame-tick scheduler multiplexing N
 //! sessions over one shared model and one shared compute budget.
 //!
-//! Each tick the server advances every live session one frame, runs the
-//! gaze predictor **once** for all sessions (the RNN time-step loop batched
-//! across the session dimension), lets each session's SSA decide run vs
-//! reuse, prices the tick's shared compute against a
-//! [`FrameBudget`], and finally segments every running session's warped
-//! crop through **one** cross-session batched inference pass.
+//! Each tick ([`Server::tick_supervised`]) serves quarantined slots a
+//! held-state stub or a re-admission probe, advances every live session
+//! one frame through its own seeded
+//! [`FaultInjector`](solo_core::resilience::FaultInjector), runs the gaze
+//! predictor **once** for all sessions (the RNN time-step loop batched
+//! across the session dimension), lets each session's SSA — or, while its
+//! tracker is dark, its [`DegradeLadder`] — decide the frame's work, gates
+//! that work against the session's slice of a [`FrameBudget`], segments
+//! every running session's warped crop through **one** cross-session
+//! batched inference pass, and finally lets a [`Supervisor`] score
+//! per-session health. Chronically unhealthy sessions quarantine into a
+//! held-state stub (freeing envelope budget for the queue) until an
+//! exponential-backoff probe re-admits them from a [`SessionCheckpoint`].
 //!
-//! Two invariants the tests pin:
+//! Invariants the tests pin:
 //!
 //! * **Batch size never changes outputs.** `cfg.batch` only chunks the
 //!   fused GEMM dispatches, which are bit-identical to per-session calls
-//!   by construction; all *modeled pricing* is keyed to the live session
+//!   by construction; all *modeled pricing* is keyed to the session
 //!   count, never to `cfg.batch`.
-//! * **Degradation is per-session.** Under overload, each session walks
-//!   its own [`DegradeLadder`] — sessions early in the tick order keep
-//!   running while later ones degrade, and a session's ladder resets as
-//!   soon as the budget re-admits it.
-//!
-//! # Supervised serving
-//!
-//! [`Server::tick_supervised`] is the resilient variant: every gaze
-//! observation filters through the session's own seeded
-//! [`FaultInjector`](solo_core::resilience::FaultInjector), a
-//! [`Supervisor`] scores per-session health, and chronically unhealthy
-//! sessions quarantine into a held-state stub (freeing envelope budget
-//! for the queue) until an exponential-backoff probe re-admits them from
-//! a [`SessionCheckpoint`]. Three more invariants the chaos tests pin:
-//!
+//! * **Degradation is per-session.** A session whose work does not fit its
+//!   slice walks its own ladder, and the ladder resets as soon as the
+//!   slice admits a nominal frame again.
 //! * **Fault isolation.** A session's faults are drawn from its own
 //!   injector and its tick is gated against its own slice of the
 //!   envelope, priced at the *total* slot count — so a neighbor's faults,
 //!   quarantine or re-admission never changes a healthy session's served
 //!   masks (bit-identical, batched GEMM rows are row-local).
-//! * **Supervision is pay-as-faulted.** With every plan disabled,
-//!   supervised serving is bit-identical to [`Server::tick`] (reports
-//!   included) whenever the fleet fits the admission envelope.
+//! * **Supervision is pay-as-faulted.** With every plan disabled, each
+//!   session of a fleet that fits the admission envelope is served
+//!   bit-identically to that session served alone.
 //! * **Deterministic restore.** checkpoint → park → probe → restore
 //!   replays the exact frame and fault sequence an uninterrupted session
 //!   would have seen (the probe fast-forwards the injector through every
@@ -48,7 +43,9 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use solo_core::metrics::{binary_iou, IouAccumulator};
-use solo_core::resilience::{DegradeAction, FrameOutcome, ResilienceConfig, SoloError};
+use solo_core::resilience::{
+    rung_work, DegradeAction, FrameOutcome, ResilienceConfig, SoloError, Work,
+};
 use solo_gaze::GazePoint;
 use solo_hw::soc::{Backbone, CostBreakdown, SocModel};
 use solo_hw::timing::FrameBudget;
@@ -57,7 +54,7 @@ use solo_sampler::{gaze_saliency, uniform_subsample, IndexMap};
 use solo_tensor::Tensor;
 
 use crate::model::{Precision, ServeModel};
-use crate::session::{Session, SessionCheckpoint, SessionSpec, SessionStats};
+use crate::session::{ScenePreset, Session, SessionCheckpoint, SessionSpec, SessionStats};
 use crate::supervisor::{HealthSignal, Supervisor, SupervisorConfig};
 
 /// Gaussian width (as a grid fraction) of the gaze saliency prior.
@@ -88,8 +85,7 @@ pub struct ServerConfig {
     pub frames_per_video: usize,
     /// Ladder thresholds driving per-session overload degradation.
     pub resilience: ResilienceConfig,
-    /// Supervision thresholds (quarantine + probe backoff) for
-    /// [`Server::tick_supervised`].
+    /// Supervision thresholds (quarantine + probe backoff).
     pub supervisor: SupervisorConfig,
     /// Cost-model backbone sessions are priced as.
     pub backbone: Backbone,
@@ -178,11 +174,26 @@ pub struct TickReport {
     pub rung_sessions: [usize; DegradeAction::RUNGS],
 }
 
-/// What one supervised tick did: the plain tick counters plus the
-/// supervision outcomes.
+impl TickReport {
+    /// Books one session served at ladder rung `rung`.
+    fn record(&mut self, rung: usize, ran: bool) {
+        self.rung_sessions[rung] += 1;
+        if ran {
+            self.ran += 1;
+        } else {
+            self.reused += 1;
+        }
+        if rung > 0 {
+            self.degraded += 1;
+        }
+    }
+}
+
+/// What one tick did: the serving counters plus the supervision
+/// outcomes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SupervisedTickReport {
-    /// The plain serving counters (quarantined stubs count as reuses at
+    /// The serving counters (quarantined stubs count as reuses at
     /// the mask-reuse rung; successful probes count as nominal runs).
     pub base: TickReport,
     /// Sessions that spent this tick quarantined (stub or probed).
@@ -197,14 +208,14 @@ pub struct SupervisedTickReport {
     pub injected: usize,
 }
 
-/// What a session is asked to do this tick, after SSA + ladder + budget.
-enum Work {
-    /// Segment the crop at this gaze with this widen area factor.
-    Run { gaze: GazePoint, widen: f32 },
-    /// Segment a uniform full-frame subsample.
-    RunUniform,
-    /// Present the previous mask.
-    Reuse,
+/// One session's shared-compute prices this tick, beyond the nominal run
+/// every session shares.
+struct RungCosts {
+    skip: Latency,
+    uniform: Latency,
+    widen: Latency,
+    /// The segmentation stage alone, which a latency spike scales.
+    seg: Latency,
 }
 
 /// The multi-session server (see the module docs).
@@ -303,30 +314,22 @@ impl Server {
         std::array::from_fn(|r| (self.rung_scores[r].len(), self.rung_scores[r].b_iou()))
     }
 
-    /// Modeled per-session shared compute (ESNet + segmentation) at a live
+    /// Modeled per-session shared compute (ESNet + segmentation) at a
     /// session count of `s` — the marginal price admission charges and the
     /// per-run cost the tick budget charges. Batching amortizes the
     /// accelerator dispatch across sessions, so this falls as `s` grows.
     ///
-    /// Priced worst-case across the live presets (the costliest dataset
-    /// among the sessions), so admission never under-prices a mixed fleet.
-    fn shared_cost_per_run(&self, s: usize, extra: Option<&SessionSpec>) -> Latency {
-        let mut worst = Latency::ZERO;
-        for ds in self
-            .sessions
-            .iter()
-            .map(|ses| ses.spec().scene)
-            .chain(extra.map(|e| e.scene))
-        {
-            let bd = self
-                .soc
-                .batched_solo_path(self.cfg.backbone, ds.hw_dataset(), s.max(1));
-            let run = bd.esnet.0 + bd.segmentation.0;
-            if run > worst {
-                worst = run;
-            }
-        }
-        worst
+    /// Priced worst-case across `scenes` (the costliest dataset among the
+    /// sessions), so admission never under-prices a mixed fleet.
+    fn worst_run_cost(&self, s: usize, scenes: impl Iterator<Item = ScenePreset>) -> Latency {
+        scenes
+            .map(|ds| {
+                let bd = self
+                    .soc
+                    .batched_solo_path(self.cfg.backbone, ds.hw_dataset(), s.max(1));
+                bd.esnet.0 + bd.segmentation.0
+            })
+            .fold(Latency::ZERO, Latency::max)
     }
 
     /// Shared cost of a reuse tick for one session: ESNet still runs (the
@@ -335,42 +338,43 @@ impl Server {
         self.soc.skip_path(spec.scene.hw_dataset()).esnet.0
     }
 
-    /// Shared cost of a uniform-fallback run for one session.
-    fn shared_cost_uniform(&self, spec: &SessionSpec) -> Latency {
-        let bd: CostBreakdown = self
-            .soc
-            .uniform_fallback_path(self.cfg.backbone, spec.scene.hw_dataset());
-        bd.esnet.0 + bd.segmentation.0
+    /// `spec`'s [`RungCosts`] this tick, segmentation amortized over
+    /// `total` sessions.
+    fn rung_costs(&self, spec: &SessionSpec, total: usize) -> RungCosts {
+        let ds = spec.scene.hw_dataset();
+        let widen = f64::from(self.cfg.resilience.widen_factor);
+        let shared = |bd: CostBreakdown| bd.esnet.0 + bd.segmentation.0;
+        RungCosts {
+            skip: self.shared_cost_skip(spec),
+            uniform: shared(self.soc.uniform_fallback_path(self.cfg.backbone, ds)),
+            widen: shared(
+                self.soc
+                    .degraded_solo_path(self.cfg.backbone, ds, widen, &[]),
+            ),
+            seg: self
+                .soc
+                .batched_solo_path(self.cfg.backbone, ds, total)
+                .segmentation
+                .0,
+        }
     }
 
-    /// Whether a fleet of `live` non-quarantined sessions (optionally
-    /// including the arriving `extra`) fits the steady-state admission
-    /// envelope: every live session running every tick at the batched
-    /// marginal price must fit inside `admission_fill · deadline`.
-    /// Quarantined sessions are excluded on both axes — their stub serves
-    /// zero shared compute, so quarantine frees envelope for the queue.
-    fn fits(&self, live: usize, extra: Option<&SessionSpec>) -> bool {
-        if live == 0 {
-            return true;
-        }
-        let mut worst = Latency::ZERO;
-        for ds in self
+    /// Whether a fleet of `live` non-quarantined sessions, the arriving
+    /// `extra` included, fits the steady-state admission envelope: every
+    /// live session running every tick at the batched marginal price must
+    /// fit inside `admission_fill · deadline`. Quarantined sessions are
+    /// excluded on both axes — their stub serves zero shared compute, so
+    /// quarantine frees envelope for the queue.
+    fn fits(&self, live: usize, extra: &SessionSpec) -> bool {
+        let scenes = self
             .sessions
             .iter()
             .enumerate()
             .filter(|(i, _)| !self.supervisor.is_quarantined(*i))
             .map(|(_, ses)| ses.spec().scene)
-            .chain(extra.map(|e| e.scene))
-        {
-            let bd = self
-                .soc
-                .batched_solo_path(self.cfg.backbone, ds.hw_dataset(), live.max(1));
-            let run = bd.esnet.0 + bd.segmentation.0;
-            if run > worst {
-                worst = run;
-            }
-        }
-        worst.ms() * live as f64 <= self.cfg.deadline.ms() * self.cfg.admission_fill
+            .chain(std::iter::once(extra.scene));
+        self.worst_run_cost(live, scenes).ms() * live as f64
+            <= self.cfg.deadline.ms() * self.cfg.admission_fill
     }
 
     /// Live (non-quarantined) session count.
@@ -390,7 +394,7 @@ impl Server {
             };
         }
         let s = self.sessions.len();
-        if s < self.cfg.max_sessions && self.fits(self.live_count() + 1, Some(&spec)) {
+        if s < self.cfg.max_sessions && self.fits(self.live_count() + 1, &spec) {
             self.sessions.push(Session::new(
                 spec,
                 self.cfg.frames_per_video,
@@ -414,7 +418,7 @@ impl Server {
         let mut promoted = 0;
         while let Some(spec) = self.queue.front().copied() {
             if self.sessions.len() >= self.cfg.max_sessions
-                || !self.fits(self.live_count() + 1, Some(&spec))
+                || !self.fits(self.live_count() + 1, &spec)
             {
                 break;
             }
@@ -430,214 +434,11 @@ impl Server {
         promoted
     }
 
-    /// Serves one frame tick to every live session (see the module docs
-    /// for the phase order). Sessions' fault plans are ignored — this is
-    /// the unsupervised fast path; see [`Self::tick_supervised`].
-    pub fn tick(&mut self) -> TickReport {
-        let mut report = TickReport {
-            promoted: self.promote(),
-            ..TickReport::default()
-        };
-        let s = self.sessions.len();
-        report.sessions = s;
-        self.ticks += 1;
-        if s == 0 {
-            return report;
-        }
-        let crop = self.model.config().crop_side;
-
-        // Phase 1: advance every session one frame.
-        let frames: Vec<_> = self.sessions.iter_mut().map(Session::next_frame).collect();
-
-        // Phase 2: one batched predictor step across the session dimension.
-        // Input is each session's last *measured* gaze; the output forecast
-        // substitutes for the live sample while its phase is suppressed.
-        let mut gaze_rows = Vec::with_capacity(s * 2);
-        let mut hidden_rows = Vec::with_capacity(s * self.model.config().predictor_hidden);
-        for ses in &self.sessions {
-            let g = ses.last_gaze();
-            gaze_rows.extend_from_slice(&[g.x, g.y]);
-            hidden_rows.extend_from_slice(ses.hidden().as_slice());
-        }
-        let gazes = Tensor::from_vec(gaze_rows, &[s, 2]);
-        let hidden = Tensor::from_vec(hidden_rows, &[s, self.model.config().predictor_hidden]);
-        let (next_hidden, deltas) = self.model.predict_batch(&gazes, &hidden);
-        let dh = self.model.config().predictor_hidden;
-        for (i, ses) in self.sessions.iter_mut().enumerate() {
-            ses.set_hidden(Tensor::from_vec(
-                next_hidden.as_slice()[i * dh..(i + 1) * dh].to_vec(),
-                &[dh],
-            ));
-        }
-
-        // Phase 3: per-session SSA decision, then budget-gated degradation
-        // in session order. All pricing is keyed to the live session count
-        // `s` — never to `cfg.batch`. Costs are priced up front so the
-        // per-session loop holds only the session borrow.
-        let run_cost = self.shared_cost_per_run(s, None);
-        let skip_costs: Vec<Latency> = self
-            .sessions
-            .iter()
-            .map(|ses| self.shared_cost_skip(ses.spec()))
-            .collect();
-        let uniform_costs: Vec<Latency> = self
-            .sessions
-            .iter()
-            .map(|ses| self.shared_cost_uniform(ses.spec()))
-            .collect();
-        let widen_costs: Vec<Latency> = self
-            .sessions
-            .iter()
-            .map(|ses| {
-                let bd = self.soc.degraded_solo_path(
-                    self.cfg.backbone,
-                    ses.spec().scene.hw_dataset(),
-                    f64::from(self.cfg.resilience.widen_factor),
-                    &[],
-                );
-                bd.esnet.0 + bd.segmentation.0
-            })
-            .collect();
-        let mut budget = FrameBudget::new(self.cfg.deadline);
-        budget.start_frame();
-        let mut work = Vec::with_capacity(s);
-        for (i, frame) in frames.iter().enumerate() {
-            let ses = &mut self.sessions[i];
-            let suppressed = frame.gaze.phase.is_suppressed();
-            let gaze = if suppressed {
-                // Saccadic suppression: steer the crop by the forecast
-                // landing point instead of the mid-flight sample.
-                let d = &deltas.as_slice()[i * 2..(i + 1) * 2];
-                let g = ses.last_gaze();
-                GazePoint::new(g.x + d[0], g.y + d[1])
-            } else {
-                ses.set_last_gaze(frame.gaze.point);
-                frame.gaze.point
-            };
-            let preview = uniform_subsample(&frame.image, crop, crop);
-            let wants_run = ses.ssa_mut().step(&preview, gaze, suppressed).must_run()
-                || ses.last_mask().is_none();
-            preview.recycle();
-
-            let (action, w) = if !wants_run {
-                ses.ladder_mut().reset();
-                (DegradeAction::Nominal, Work::Reuse)
-            } else if !budget.would_overrun(run_cost) {
-                ses.ladder_mut().reset();
-                (DegradeAction::Nominal, Work::Run { gaze, widen: 1.0 })
-            } else {
-                // Overload: this session walks its ladder. Hold presents
-                // the last mask; widen retries a degraded (widened) run;
-                // uniform retries the gaze-free fallback; reuse is the
-                // floor. A rung whose retry still overruns falls through
-                // to mask reuse for this tick.
-                let action = ses.ladder_mut().decide(&self.cfg.resilience);
-                let w = match action {
-                    DegradeAction::WidenCrop { factor } => {
-                        if !budget.would_overrun(widen_costs[i]) {
-                            Work::Run {
-                                gaze,
-                                widen: factor,
-                            }
-                        } else {
-                            Work::Reuse
-                        }
-                    }
-                    DegradeAction::UniformFallback => {
-                        if !budget.would_overrun(uniform_costs[i]) {
-                            Work::RunUniform
-                        } else {
-                            Work::Reuse
-                        }
-                    }
-                    _ => Work::Reuse,
-                };
-                (action, w)
-            };
-
-            let charge = match &w {
-                Work::Run { widen, .. } if *widen > 1.0 => widen_costs[i],
-                Work::Run { .. } => run_cost,
-                Work::RunUniform => uniform_costs[i],
-                Work::Reuse => skip_costs[i],
-            };
-            if !budget.charge(charge) {
-                report.overrun = true;
-            }
-
-            let st = ses.stats_mut();
-            st.frames += 1;
-            st.rung_frames[action.rung()] += 1;
-            report.rung_sessions[action.rung()] += 1;
-            if action.is_degraded() {
-                st.degraded += 1;
-                report.degraded += 1;
-            }
-            work.push(w);
-        }
-        report.spent_ms = budget.spent().ms();
-        if report.overrun {
-            self.overruns += 1;
-        }
-
-        // Phase 4: build every running session's warped crop, then segment
-        // them all through the batched head in `cfg.batch`-sized chunks.
-        let mut run_idx = Vec::new();
-        let mut crops = Vec::new();
-        for (i, w) in work.iter().enumerate() {
-            let ses = &self.sessions[i];
-            let map = match w {
-                Work::Run { gaze, widen } => {
-                    let sal = gaze_saliency(
-                        crop,
-                        crop,
-                        (gaze.x, gaze.y),
-                        SALIENCY_SIGMA_FRAC,
-                        SALIENCY_FLOOR,
-                    );
-                    let map = IndexMap::from_saliency(&ses.sampler_spec(crop, *widen), &sal);
-                    sal.recycle();
-                    map
-                }
-                Work::RunUniform => IndexMap::uniform(&ses.sampler_spec(crop, 1.0)),
-                Work::Reuse => continue,
-            };
-            crops.push(map.sample_bilinear(&frames[i].image));
-            run_idx.push(i);
-        }
-        for chunk_start in (0..crops.len()).step_by(self.cfg.batch) {
-            let chunk_end = (chunk_start + self.cfg.batch).min(crops.len());
-            let masks = self
-                .model
-                .infer_batch(&crops[chunk_start..chunk_end], self.cfg.precision);
-            for (off, mask) in masks.into_iter().enumerate() {
-                self.sessions[run_idx[chunk_start + off]].set_last_mask(mask);
-            }
-        }
-        for c in crops {
-            c.recycle();
-        }
-        report.ran = run_idx.len();
-        report.reused = s - run_idx.len();
-        self.frames_served += s;
-        self.frames_ran += report.ran;
-        for (i, ses) in self.sessions.iter_mut().enumerate() {
-            let st = ses.stats_mut();
-            if run_idx.contains(&i) {
-                st.runs += 1;
-            } else {
-                st.reuses += 1;
-            }
-        }
-        report
-    }
-
-    /// Serves one supervised frame tick (see the module docs): fault
-    /// injection per session, per-slice budget gating, health scoring,
-    /// quarantine and re-admission probes. With every session's plan
-    /// disabled this is bit-identical to [`Self::tick`] whenever the
-    /// fleet fits the admission envelope. Do not interleave with
-    /// [`Self::tick`] on a server that has quarantined sessions.
+    /// Serves one frame tick (see the module docs): fault injection per
+    /// session, per-slice budget gating, health scoring, quarantine and
+    /// re-admission probes. With every session's plan disabled, each
+    /// session of a fleet that fits the admission envelope is served
+    /// bit-identically to that session served alone.
     pub fn tick_supervised(&mut self) -> SupervisedTickReport {
         let mut rep = SupervisedTickReport {
             base: TickReport {
@@ -668,7 +469,7 @@ impl Server {
                 continue;
             }
             rep.quarantined += 1;
-            if self.supervisor.probe_due(i, now) {
+            let rung = if self.supervisor.probe_due(i, now) {
                 rep.probes += 1;
                 let (healthy, charge) = self.run_probe(i, now, crop);
                 if !budget.charge(charge) {
@@ -676,25 +477,17 @@ impl Server {
                 }
                 if healthy {
                     rep.readmitted += 1;
-                    rep.base.ran += 1;
-                    rep.base.rung_sessions[0] += 1;
+                    0
                 } else {
-                    rep.base.reused += 1;
-                    rep.base.degraded += 1;
-                    rep.base.rung_sessions[floor] += 1;
+                    floor
                 }
             } else {
                 let ses = &mut self.sessions[i];
                 ses.skip_frame();
-                let st = ses.stats_mut();
-                st.frames += 1;
-                st.reuses += 1;
-                st.degraded += 1;
-                st.rung_frames[floor] += 1;
-                rep.base.reused += 1;
-                rep.base.degraded += 1;
-                rep.base.rung_sessions[floor] += 1;
-            }
+                ses.stats_mut().record(floor, false);
+                floor
+            };
+            rep.base.record(rung, rung == 0);
         }
         let l = live.len();
         self.frames_served += total;
@@ -711,8 +504,6 @@ impl Server {
         // through the session's own seeded injector. The injector is
         // strictly session-local — a disabled plan draws no entropy.
         let mut frames = Vec::with_capacity(l);
-        let mut obses = Vec::with_capacity(l);
-        let mut faultses = Vec::with_capacity(l);
         for &i in &live {
             let ses = &mut self.sessions[i];
             let frame = ses.next_frame();
@@ -720,9 +511,7 @@ impl Server {
             if faults.any() {
                 rep.injected += 1;
             }
-            frames.push(frame);
-            obses.push(obs);
-            faultses.push(faults);
+            frames.push((frame, obs, faults));
         }
 
         // Phase 2: one batched predictor step across the live sessions.
@@ -751,60 +540,28 @@ impl Server {
         // isolation invariant. A latency spike charges extra against the
         // spiker's own slice (building its overrun streak) but never
         // changes the mask decision.
-        let run_cost = self.shared_cost_per_run(total, None);
+        let run_cost = self.worst_run_cost(total, self.sessions.iter().map(|s| s.spec().scene));
         let slice =
             Latency::from_ms(self.cfg.deadline.ms() * self.cfg.admission_fill / total as f64);
-        let skip_costs: Vec<Latency> = live
-            .iter()
-            .map(|&i| self.shared_cost_skip(self.sessions[i].spec()))
-            .collect();
-        let uniform_costs: Vec<Latency> = live
-            .iter()
-            .map(|&i| self.shared_cost_uniform(self.sessions[i].spec()))
-            .collect();
-        let widen_costs: Vec<Latency> = live
-            .iter()
-            .map(|&i| {
-                let bd = self.soc.degraded_solo_path(
-                    self.cfg.backbone,
-                    self.sessions[i].spec().scene.hw_dataset(),
-                    f64::from(self.cfg.resilience.widen_factor),
-                    &[],
-                );
-                bd.esnet.0 + bd.segmentation.0
-            })
-            .collect();
-        let seg_costs: Vec<Latency> = live
-            .iter()
-            .map(|&i| {
-                self.soc
-                    .batched_solo_path(
-                        self.cfg.backbone,
-                        self.sessions[i].spec().scene.hw_dataset(),
-                        total,
-                    )
-                    .segmentation
-                    .0
-            })
-            .collect();
         let mut work = Vec::with_capacity(l);
         let mut rungs = Vec::with_capacity(l);
         let mut signals: Vec<Option<HealthSignal>> = vec![None; total];
         for (p, &i) in live.iter().enumerate() {
-            let frame = &frames[p];
-            let obs = &obses[p];
-            let faults = &faultses[p];
+            let (frame, obs, faults) = &frames[p];
+            let costs = self.rung_costs(self.sessions[i].spec(), total);
             let ses = &mut self.sessions[i];
             let mut preview = uniform_subsample(&frame.image, crop, crop);
             ses.injector_mut().corrupt_preview(&mut preview, faults);
 
+            // The predictor's forecast from the held fixation steers the
+            // crop while the eye is suppressed or the tracker is dark.
+            let d = &deltas.as_slice()[p * 2..(p + 1) * 2];
+            let held = ses.last_gaze();
+            let forecast = GazePoint::new(held.x + d[0], held.y + d[1]);
             let (action, w) = if obs.is_usable() {
-                // Usable gaze: the plain-tick path, gated per slice.
                 let suppressed = obs.sample.phase.is_suppressed();
                 let gaze = if suppressed {
-                    let d = &deltas.as_slice()[p * 2..(p + 1) * 2];
-                    let g = ses.last_gaze();
-                    GazePoint::new(g.x + d[0], g.y + d[1])
+                    forecast
                 } else {
                     ses.set_last_gaze(obs.sample.point);
                     obs.sample.point
@@ -818,81 +575,48 @@ impl Server {
                     ses.ladder_mut().reset();
                     (DegradeAction::Nominal, Work::Run { gaze, widen: 1.0 })
                 } else {
+                    // Over the slice: walk the ladder. The SSA already
+                    // asked for this frame's run, which the slice cannot
+                    // afford, so the hold rung reuses the mask.
                     let action = ses.ladder_mut().decide(&self.cfg.resilience);
-                    let w = match action {
-                        DegradeAction::WidenCrop { factor } if widen_costs[p] <= slice => {
-                            Work::Run {
-                                gaze,
-                                widen: factor,
-                            }
-                        }
-                        DegradeAction::UniformFallback if uniform_costs[p] <= slice => {
-                            Work::RunUniform
-                        }
-                        _ => Work::Reuse,
-                    };
-                    (action, w)
+                    (action, rung_work(action, gaze, gaze, |_| false))
                 }
             } else {
                 // Tracker dark: walk the ladder anchored on the held
-                // fixation, mirroring the streaming evaluator's rungs.
+                // fixation, the same rungs as the streaming evaluator.
                 let action = ses.ladder_mut().decide(&self.cfg.resilience);
-                match action {
-                    DegradeAction::HoldFixation { .. } => {
-                        // Steer by the forecast from the held fixation.
-                        let d = &deltas.as_slice()[p * 2..(p + 1) * 2];
-                        let g = ses.last_gaze();
-                        let gaze = GazePoint::new(g.x + d[0], g.y + d[1]);
-                        let wants_run = ses.ssa_mut().step(&preview, gaze, false).must_run()
-                            || ses.last_mask().is_none();
-                        let w = if wants_run && run_cost <= slice {
-                            Work::Run { gaze, widen: 1.0 }
-                        } else {
-                            Work::Reuse
-                        };
-                        (action, w)
-                    }
-                    DegradeAction::WidenCrop { factor } if widen_costs[p] <= slice => {
-                        let g = ses.last_gaze();
-                        (
-                            action,
-                            Work::Run {
-                                gaze: g,
-                                widen: factor,
-                            },
-                        )
-                    }
-                    DegradeAction::UniformFallback if uniform_costs[p] <= slice => {
-                        (action, Work::RunUniform)
-                    }
-                    _ => (action, Work::Reuse),
-                }
+                let w = rung_work(action, held, forecast, |g| {
+                    ses.ssa_mut().step(&preview, g, false).must_run() || ses.last_mask().is_none()
+                });
+                (action, w)
             };
             preview.recycle();
 
-            let base = match &w {
-                Work::Run { widen, .. } if *widen > 1.0 => widen_costs[p],
-                Work::Run { .. } => run_cost,
-                Work::RunUniform => uniform_costs[p],
-                Work::Reuse => skip_costs[p],
+            // A rung runs only if its work fits the session's slice.
+            let gate = match action {
+                DegradeAction::WidenCrop { .. } => costs.widen,
+                DegradeAction::UniformFallback => costs.uniform,
+                _ => run_cost,
             };
-            let spike_extra = match (&w, faults.latency_spike) {
+            let w = if gate <= slice { w } else { Work::Reuse };
+            let base = match w {
+                Work::Run { widen, .. } if widen > 1.0 => costs.widen,
+                Work::Run { .. } => run_cost,
+                Work::Uniform => costs.uniform,
+                Work::Reuse => costs.skip,
+            };
+            let spike_extra = match (w, faults.latency_spike) {
                 (Work::Reuse, _) | (_, None) => Latency::ZERO,
-                (_, Some(k)) => Latency::from_ms(seg_costs[p].ms() * (k - 1.0)),
+                (_, Some(k)) => Latency::from_ms(costs.seg.ms() * (k - 1.0)),
             };
             let charge = base + spike_extra;
             if !budget.charge(charge) {
                 rep.base.overrun = true;
             }
 
-            let st = ses.stats_mut();
-            st.frames += 1;
-            st.rung_frames[action.rung()] += 1;
-            rep.base.rung_sessions[action.rung()] += 1;
-            if action.is_degraded() {
-                st.degraded += 1;
-                rep.base.degraded += 1;
-            }
+            let ran = w != Work::Reuse;
+            ses.stats_mut().record(action.rung(), ran);
+            rep.base.record(action.rung(), ran);
             signals[i] = Some(HealthSignal {
                 tracker_usable: obs.is_usable(),
                 slice_overrun: charge > slice,
@@ -914,33 +638,22 @@ impl Server {
         let mut crops = Vec::new();
         for (p, w) in work.iter().enumerate() {
             let ses = &self.sessions[live[p]];
-            let map = match w {
-                Work::Run { gaze, widen } => {
-                    let sal = gaze_saliency(
-                        crop,
-                        crop,
-                        (gaze.x, gaze.y),
-                        SALIENCY_SIGMA_FRAC,
-                        SALIENCY_FLOOR,
-                    );
-                    let map = IndexMap::from_saliency(&ses.sampler_spec(crop, *widen), &sal);
-                    sal.recycle();
-                    map
-                }
-                Work::RunUniform => IndexMap::uniform(&ses.sampler_spec(crop, 1.0)),
+            let map = match *w {
+                Work::Run { gaze, widen } => gaze_map(ses, crop, gaze, widen),
+                Work::Uniform => IndexMap::uniform(&ses.sampler_spec(crop, 1.0)),
                 Work::Reuse => continue,
             };
             if score {
                 let n = ses.resolution();
-                let gt = frames[p].ioi_mask.reshape(&[1, n, n]);
+                let gt = frames[p].0.ioi_mask.reshape(&[1, n, n]);
                 let up = map
                     .upsample(&map.sample_nearest(&gt))
                     .into_reshaped(&[n, n])
                     .map(|v| if v > 0.5 { 1.0 } else { 0.0 });
-                let b = binary_iou(&up, &frames[p].ioi_mask);
+                let b = binary_iou(&up, &frames[p].0.ioi_mask);
                 self.rung_scores[rungs[p]].push(b, 0.0);
             }
-            crops.push(map.sample_bilinear(&frames[p].image));
+            crops.push(map.sample_bilinear(&frames[p].0.image));
             run_pos.push(p);
         }
         for chunk_start in (0..crops.len()).step_by(self.cfg.batch) {
@@ -955,17 +668,7 @@ impl Server {
         for c in crops {
             c.recycle();
         }
-        rep.base.ran += run_pos.len();
-        rep.base.reused += l - run_pos.len();
         self.frames_ran += rep.base.ran;
-        for p in 0..l {
-            let st = self.sessions[live[p]].stats_mut();
-            if run_pos.contains(&p) {
-                st.runs += 1;
-            } else {
-                st.reuses += 1;
-            }
-        }
 
         // Phase 5: supervision. Streaks update from this tick's signals;
         // sessions crossing a threshold checkpoint, park, and drop out of
@@ -1015,16 +718,7 @@ impl Server {
             let charge = bd.esnet.0 + bd.segmentation.0;
             let gaze = obs.sample.point;
             cand.set_last_gaze(gaze);
-            let sal = gaze_saliency(
-                crop,
-                crop,
-                (gaze.x, gaze.y),
-                SALIENCY_SIGMA_FRAC,
-                SALIENCY_FLOOR,
-            );
-            let map = IndexMap::from_saliency(&cand.sampler_spec(crop, 1.0), &sal);
-            sal.recycle();
-            let c = map.sample_bilinear(&frame.image);
+            let c = gaze_map(&cand, crop, gaze, 1.0).sample_bilinear(&frame.image);
             let masks = self
                 .model
                 .infer_batch(std::slice::from_ref(&c), self.cfg.precision);
@@ -1033,10 +727,7 @@ impl Server {
                 cand.set_last_mask(m);
             }
             cand.ladder_mut().reset();
-            let st = cand.stats_mut();
-            st.frames += 1;
-            st.runs += 1;
-            st.rung_frames[0] += 1;
+            cand.stats_mut().record(0, true);
             self.sessions[i] = cand;
             self.supervisor.record_probe(i, now, true, None);
             (true, charge)
@@ -1044,11 +735,8 @@ impl Server {
             // Still dark: persist the advanced injector/cursor so the
             // outage keeps draining across probes, and back off.
             let charge = self.shared_cost_skip(cand.spec());
-            let st = cand.stats_mut();
-            st.frames += 1;
-            st.reuses += 1;
-            st.degraded += 1;
-            st.rung_frames[DegradeAction::ReuseMask.rung()] += 1;
+            cand.stats_mut()
+                .record(DegradeAction::ReuseMask.rung(), false);
             cand.park();
             let advanced = cand.checkpoint();
             self.sessions[i] = cand;
@@ -1075,6 +763,21 @@ impl Server {
     pub fn checkpoints(&self) -> Vec<SessionCheckpoint> {
         self.sessions.iter().map(Session::checkpoint).collect()
     }
+}
+
+/// The index map of a gaze-centred crop on the session's grid: the gaze
+/// saliency prior sampled at the session's σ, its area widened by `widen`.
+fn gaze_map(ses: &Session, crop: usize, gaze: GazePoint, widen: f32) -> IndexMap {
+    let sal = gaze_saliency(
+        crop,
+        crop,
+        (gaze.x, gaze.y),
+        SALIENCY_SIGMA_FRAC,
+        SALIENCY_FLOOR,
+    );
+    let map = IndexMap::from_saliency(&ses.sampler_spec(crop, widen), &sal);
+    sal.recycle();
+    map
 }
 
 impl std::fmt::Debug for Server {
@@ -1170,7 +873,7 @@ mod tests {
         for i in 0..3 {
             assert_eq!(srv.admit(SessionSpec::nth(2, i)), AdmitOutcome::Admitted(i));
         }
-        let r = srv.tick();
+        let r = srv.tick_supervised().base;
         assert_eq!(r.sessions, 3);
         // First tick: every session must run (no mask to reuse yet).
         assert_eq!(r.ran, 3);
@@ -1182,23 +885,25 @@ mod tests {
     }
 
     #[test]
-    fn overload_degrades_later_sessions_first_and_recovers() {
+    fn squeezed_deadline_degrades_and_relaxing_recovers() {
         let mut srv = server(1000.0, 4);
         for i in 0..4 {
             assert_eq!(srv.admit(SessionSpec::nth(3, i)), AdmitOutcome::Admitted(i));
         }
-        // Squeeze the live fleet: a deadline that fits roughly one run.
-        let one_run = srv.shared_cost_per_run(4, None).ms();
+        // Squeeze the live fleet: a deadline whose per-session slice
+        // cannot afford a run.
+        let one_run = srv
+            .worst_run_cost(4, srv.sessions.iter().map(|s| s.spec().scene))
+            .ms();
         srv.cfg.deadline = Latency::from_ms(one_run * 1.5);
-        let r = srv.tick();
+        let r = srv.tick_supervised().base;
         assert!(r.degraded > 0, "tight deadline must degrade someone");
-        assert!(r.ran >= 1, "the first session in tick order keeps running");
         // Relax again: ladders reset, everyone recovers to nominal.
         srv.cfg.deadline = Latency::from_ms(1000.0);
         let mut saw_nominal_for_all = false;
         for _ in 0..4 {
-            let r = srv.tick();
-            if r.degraded == 0 {
+            let r = srv.tick_supervised().base;
+            if r.degraded == 0 && r.rung_sessions[0] == 4 {
                 saw_nominal_for_all = true;
             }
         }
@@ -1214,31 +919,39 @@ mod tests {
             b.admit(SessionSpec::nth(4, i));
         }
         for _ in 0..6 {
-            a.tick();
-            b.tick();
+            a.tick_supervised();
+            b.tick_supervised();
         }
         assert_eq!(a.mask_digest(), b.mask_digest());
     }
 
     #[test]
-    fn zero_fault_supervised_tick_matches_plain_tick() {
-        let mut plain = server(1000.0, 4);
-        let mut sup = server(1000.0, 4);
-        for i in 0..4 {
+    fn zero_fault_fleet_serves_each_session_as_if_alone() {
+        let mut fleet = server(1000.0, 4);
+        let mut solos: Vec<Server> = (0..4).map(|_| server(1000.0, 4)).collect();
+        for (i, solo) in solos.iter_mut().enumerate() {
             assert_eq!(
-                plain.admit(SessionSpec::nth(5, i)),
+                fleet.admit(SessionSpec::nth(5, i)),
                 AdmitOutcome::Admitted(i)
             );
-            assert_eq!(sup.admit(SessionSpec::nth(5, i)), AdmitOutcome::Admitted(i));
+            assert_eq!(
+                solo.admit(SessionSpec::nth(5, i)),
+                AdmitOutcome::Admitted(0)
+            );
         }
-        for t in 0..6 {
-            let a = plain.tick();
-            let b = sup.tick_supervised();
-            assert_eq!(a, b.base, "tick {t}: reports must match exactly");
-            assert_eq!(b.quarantined + b.probes + b.injected, 0);
+        for _ in 0..6 {
+            let r = fleet.tick_supervised();
+            assert_eq!(r.quarantined + r.probes + r.injected, 0);
+            for solo in &mut solos {
+                solo.tick_supervised();
+            }
         }
-        assert_eq!(plain.mask_digest(), sup.mask_digest());
-        assert_eq!(plain.session_stats(), sup.session_stats());
+        let masks = fleet.mask_digest();
+        let stats = fleet.session_stats();
+        for (i, solo) in solos.iter().enumerate() {
+            assert_eq!(masks[i], solo.mask_digest()[0], "session {i} mask");
+            assert_eq!(stats[i], solo.session_stats()[0], "session {i} stats");
+        }
     }
 
     #[test]

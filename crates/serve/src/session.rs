@@ -149,6 +149,22 @@ pub struct SessionStats {
     pub rung_frames: [usize; DegradeAction::RUNGS],
 }
 
+impl SessionStats {
+    /// Books one frame served at ladder rung `rung`.
+    pub(crate) fn record(&mut self, rung: usize, ran: bool) {
+        self.frames += 1;
+        self.rung_frames[rung] += 1;
+        if ran {
+            self.runs += 1;
+        } else {
+            self.reuses += 1;
+        }
+        if rung > 0 {
+            self.degraded += 1;
+        }
+    }
+}
+
 /// A restorable snapshot of one session's full serving state: SSA
 /// calibration, ladder rung, predictor hidden row, held mask, fault
 /// injector and frame cursor. Everything *except* the video frames, which

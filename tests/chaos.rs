@@ -1,8 +1,8 @@
 //! Resilience identities pinned at the serving layer: supervision must be
-//! free when nothing faults (supervised tick ≡ plain tick), a faulting or
-//! quarantined batch-mate must never perturb a healthy session's bits,
-//! and checkpoint → restore must be invisible in the served stream — all
-//! at pool widths 1 and 8, in both precisions.
+//! free when nothing faults (each session of a fleet ≡ that session served
+//! alone), a faulting or quarantined batch-mate must never perturb a
+//! healthy session's bits, and checkpoint → restore must be invisible in
+//! the served stream — all at pool widths 1 and 8, in both precisions.
 
 use std::sync::Arc;
 
@@ -43,49 +43,62 @@ fn mask_bits(server: &Server) -> Vec<Option<Vec<u32>>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// With every fault plan disabled, `tick_supervised` is the identity
-    /// wrapper: every report equals the plain tick's bit for bit, no
-    /// fault/quarantine counter moves, and every served mask matches —
-    /// at pool widths 1 and 8, f32 and int8.
+    /// With every fault plan disabled, supervision is free: no fault,
+    /// quarantine or probe counter moves, and every session of a 4-session
+    /// fleet serves the same masks and stats, bit for bit, as a server
+    /// serving that session alone (batched ≡ solo) — at pool widths 1 and
+    /// 8, f32 and int8.
     #[test]
     fn zero_fault_supervision_is_free(seed in 0u64..500) {
         let m = model(seed);
         for precision in [Precision::F32, Precision::Int8] {
             for width in [1usize, 8] {
-                let (plain, supervised, plain_masks, supervised_masks) =
-                    exec::with_threads(width, || {
-                        let mut a = Server::new(Arc::clone(&m), chaos_config(precision))
-                            .expect("valid config");
-                        let mut b = Server::new(Arc::clone(&m), chaos_config(precision))
-                            .expect("valid config");
-                        for i in 0..4 {
+                let (reports, fleet, solos) = exec::with_threads(width, || {
+                    let mut fleet = Server::new(Arc::clone(&m), chaos_config(precision))
+                        .expect("valid config");
+                    let mut solos: Vec<Server> = (0..4)
+                        .map(|i| {
+                            let mut solo = Server::new(Arc::clone(&m), chaos_config(precision))
+                                .expect("valid config");
                             assert!(matches!(
-                                a.admit(SessionSpec::nth(seed, i)),
+                                solo.admit(SessionSpec::nth(seed, i)),
                                 AdmitOutcome::Admitted(_)
                             ));
                             assert!(matches!(
-                                b.admit(SessionSpec::nth(seed, i)),
+                                fleet.admit(SessionSpec::nth(seed, i)),
                                 AdmitOutcome::Admitted(_)
                             ));
+                            solo
+                        })
+                        .collect();
+                    let reports: Vec<_> = (0..8).map(|_| fleet.tick_supervised()).collect();
+                    for solo in &mut solos {
+                        for _ in 0..8 {
+                            solo.tick_supervised();
                         }
-                        let plain: Vec<_> = (0..8).map(|_| a.tick()).collect();
-                        let supervised: Vec<_> = (0..8).map(|_| b.tick_supervised()).collect();
-                        (plain, supervised, mask_bits(&a), mask_bits(&b))
-                    });
-                for (t, (p, s)) in plain.iter().zip(&supervised).enumerate() {
-                    prop_assert_eq!(
-                        p, &s.base,
-                        "{} width {} tick {}: supervised report diverged",
-                        precision.name(), width, t
-                    );
+                    }
+                    let solos: Vec<_> = solos
+                        .iter()
+                        .map(|s| (mask_bits(s).remove(0), s.session_stats()[0]))
+                        .collect();
+                    (reports, (mask_bits(&fleet), fleet.session_stats()), solos)
+                });
+                for s in &reports {
                     prop_assert_eq!(s.injected, 0);
                     prop_assert_eq!(s.quarantined + s.newly_quarantined + s.probes, 0);
                 }
-                prop_assert_eq!(
-                    plain_masks, supervised_masks,
-                    "{} width {}: supervised masks diverged",
-                    precision.name(), width
-                );
+                for (i, (solo_mask, solo_stats)) in solos.iter().enumerate() {
+                    prop_assert_eq!(
+                        &fleet.0[i], solo_mask,
+                        "{} width {} session {}: fleet mask diverged from solo",
+                        precision.name(), width, i
+                    );
+                    prop_assert_eq!(
+                        &fleet.1[i], solo_stats,
+                        "{} width {} session {}: fleet stats diverged from solo",
+                        precision.name(), width, i
+                    );
+                }
             }
         }
     }

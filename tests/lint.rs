@@ -55,3 +55,51 @@ fn hot_paths_are_panic_free_and_leak_free_with_a_resolved_call_graph() {
         "no hot-path roots found — P2 would be vacuously clean"
     );
 }
+
+/// The tracker-dark rung-to-work decision lives once, in
+/// `solo-core::resilience`, and both frame loops call it: it must be
+/// called by each loop and reachable on the call graph from the streaming
+/// root and from the serving root on their own, so P2 gates it for both.
+#[test]
+fn shared_rung_mapping_is_reachable_from_both_frame_loops() {
+    use solo_lint::{callgraph::CallGraph, items, rules, source::SourceFile};
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut parsed = Vec::new();
+    for rel in solo_lint::rust_sources(root).expect("walk the workspace") {
+        if rules::classify(&rel) != Some(rules::FileKind::Library) {
+            continue;
+        }
+        let text = std::fs::read_to_string(root.join(&rel)).expect("readable source");
+        let file = SourceFile::parse(&rel, &text);
+        parsed.push(items::parse_file(&rel, &text, &file));
+    }
+    let graph = CallGraph::build(&parsed);
+    let find = |path: &str| {
+        graph
+            .fns
+            .iter()
+            .position(|f| f.path() == path)
+            .unwrap_or_else(|| panic!("{path} not in the call graph"))
+    };
+    let mapping = find("rung_work");
+    // Reachability alone over-approximates (method calls resolve by name),
+    // so each frame loop must also call the mapping itself.
+    for (frame_loop, root) in [
+        (
+            "StreamingEvaluator::stream",
+            "StreamingEvaluator::run_with_faults",
+        ),
+        ("Server::tick_supervised", "Server::tick_supervised"),
+    ] {
+        assert!(
+            graph.edges[find(frame_loop)].contains(&mapping),
+            "{frame_loop} does not call rung_work"
+        );
+        let reach = graph.reachable_from(&[find(root)]);
+        assert!(
+            reach[mapping].is_some(),
+            "rung_work is not reachable from {root}"
+        );
+    }
+}

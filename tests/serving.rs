@@ -122,7 +122,7 @@ fn server_batch_size_never_changes_what_users_see() {
                 AdmitOutcome::Rejected { .. }
             ));
         }
-        let reports: Vec<_> = (0..6).map(|_| server.tick()).collect();
+        let reports: Vec<_> = (0..6).map(|_| server.tick_supervised()).collect();
         (reports, server.mask_digest())
     };
     let (reports_1, masks_1) = run(1);
