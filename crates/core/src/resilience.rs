@@ -185,12 +185,16 @@ impl FaultPlan {
                 ));
             }
         }
-        if self.noise_sigma < 0.0 {
-            return Err(SoloError::InvalidConfig("noise_sigma must be >= 0"));
-        }
-        if self.latency_spike_factor < 1.0 {
+        // Written as `!(in range)` so NaN fails too; `is_finite` turns
+        // away +∞, whose `0 × ∞` surcharge on a reuse frame is NaN.
+        if !(self.noise_sigma.is_finite() && self.noise_sigma >= 0.0) {
             return Err(SoloError::InvalidConfig(
-                "latency_spike_factor must be >= 1",
+                "noise_sigma must be finite and >= 0",
+            ));
+        }
+        if !(self.latency_spike_factor.is_finite() && self.latency_spike_factor >= 1.0) {
+            return Err(SoloError::InvalidConfig(
+                "latency_spike_factor must be finite and >= 1",
             ));
         }
         Ok(())
@@ -521,8 +525,10 @@ impl ResilienceConfig {
         if !(self.deadline > Latency::ZERO) {
             return Err(SoloError::InvalidConfig("deadline must be positive"));
         }
-        if self.widen_factor < 1.0 {
-            return Err(SoloError::InvalidConfig("widen_factor must be >= 1"));
+        if !(self.widen_factor.is_finite() && self.widen_factor >= 1.0) {
+            return Err(SoloError::InvalidConfig(
+                "widen_factor must be finite and >= 1",
+            ));
         }
         if !(0.0..=1.0).contains(&self.confidence_decay) || self.confidence_decay == 0.0 {
             return Err(SoloError::InvalidConfig(
@@ -864,6 +870,18 @@ mod tests {
         let mut bad = ResilienceConfig::paper_default();
         bad.widen_factor = 0.5;
         assert!(bad.validate().is_err());
+        // Non-finite knobs pass a plain `<` test; each must be refused.
+        for v in [f32::NAN, f32::INFINITY] {
+            let mut bad = FaultPlan::none();
+            bad.noise_sigma = v;
+            assert!(matches!(bad.validate(), Err(SoloError::InvalidConfig(_))));
+            let mut bad = FaultPlan::none();
+            bad.latency_spike_factor = f64::from(v);
+            assert!(matches!(bad.validate(), Err(SoloError::InvalidConfig(_))));
+            let mut bad = ResilienceConfig::paper_default();
+            bad.widen_factor = v;
+            assert!(matches!(bad.validate(), Err(SoloError::InvalidConfig(_))));
+        }
         let mut bad = ResilienceConfig::paper_default();
         bad.deadline = Latency::ZERO;
         assert!(bad.validate().is_err());

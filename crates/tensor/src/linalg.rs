@@ -47,7 +47,7 @@ impl Tensor {
             return self.matmul_reference(other);
         }
         let mut b_panels = exec::take_buf_at("gemm.pack_rhs", n.div_ceil(NR).max(1) * k * NR);
-        packed::pack_rhs_into(&mut b_panels, other.as_slice(), k, n);
+        packed::pack_rhs_into(&mut b_panels, other.as_slice(), k, n, k);
         let out = packed::gemm_pack_lhs(self.as_slice(), &b_panels, m, k, n);
         exec::recycle_buf(b_panels);
         out
@@ -98,7 +98,7 @@ impl Tensor {
             return Tensor::from_vec(out, &[m, n]);
         }
         let mut b_panels = exec::take_buf_at("gemm.pack_rhs", n.div_ceil(NR).max(1) * k * NR);
-        packed::pack_rhs_transposed_into(&mut b_panels, other.as_slice(), n, k);
+        packed::pack_rhs_transposed_into(&mut b_panels, other.as_slice(), n, k, k);
         let out = packed::gemm_pack_lhs(self.as_slice(), &b_panels, m, k, n);
         exec::recycle_buf(b_panels);
         out
@@ -151,7 +151,7 @@ impl Tensor {
         let mut a_panels = exec::take_buf_at("gemm.pack_lhs", m.div_ceil(MR).max(1) * k * MR);
         packed::pack_lhs_transposed_into(&mut a_panels, self.as_slice(), k, m);
         let mut b_panels = exec::take_buf_at("gemm.pack_rhs", n.div_ceil(NR).max(1) * k * NR);
-        packed::pack_rhs_into(&mut b_panels, other.as_slice(), k, n);
+        packed::pack_rhs_into(&mut b_panels, other.as_slice(), k, n, k);
         let out = packed::gemm_packed(&a_panels, &b_panels, m, k, n);
         exec::recycle_buf(b_panels);
         exec::recycle_buf(a_panels);

@@ -1,31 +1,40 @@
-//! Panel packing for the blocked GEMM, and the packed-weight cache.
+//! The blocked GEMM core for f32 and int8, its panel packers, and the
+//! packed-weight cache.
 //!
-//! The blocked kernel behind [`Tensor::matmul`] never walks the operand
-//! matrices in their row-major layout. Instead both sides are repacked
-//! into *panels* whose element order matches the micro-kernel's access
-//! pattern exactly, so the hot loop reads nothing but forward-contiguous
-//! memory:
+//! The blocked kernel behind [`Tensor::matmul`] and the int8 `qmatmul*`
+//! entry points never walks the operand matrices in their row-major
+//! layout. Both sides are repacked into *panels* whose element order
+//! matches the micro-kernel's access pattern, so the hot loop reads
+//! nothing but forward-contiguous memory:
 //!
 //! * the right-hand side `[k, n]` becomes `⌈n/NR⌉` **column panels**, each
-//!   holding `k × NR` values p-major (`b[p][j0..j0+NR]` for ascending
-//!   `p`), zero-padded in the last panel;
-//! * the left-hand side `[m, k]` becomes `⌈m/MR⌉` **row panels**, each
-//!   holding `k × MR` values p-major (`a[i0..i0+MR][p]` for ascending
-//!   `p`), zero-padded in the last panel.
+//!   holding `kp × NR` values p-major (`b[p][j0..j0+NR]` for ascending
+//!   `p`), zero-padded in the last panel and below depth `k`;
+//! * the left-hand side `[m, k]` becomes `⌈m/MR⌉` **row panels** of
+//!   `kp × MR` values, zero-padded in the last panel.
 //!
-//! The micro-kernel then keeps an `MR × NR` block of accumulators in
-//! registers and streams both panels once, accumulating over the *entire*
-//! `k` extent in ascending order. Because every output element's
-//! floating-point accumulation chain is exactly the chain the naive
+//! One core serves both element types. The panel depth `kp` is `k` for
+//! f32 and `k` rounded up to even for i8, whose kernels consume depth
+//! pairs. B panels share one p-major layout, so each rhs packer is one
+//! generic function. A panels differ: f32 is p-major (`a[i0..i0+MR][p]`),
+//! i8 pair-interleaved (see "Int8 inference path" below). `gemm_sweep`
+//! walks the `MR × NR` tiles of a row span for every path; only the tile
+//! kernel and the row write-back (a copy, or the i32→f32 rescale) vary.
+//!
+//! Each tile keeps its accumulators in registers and streams both panels
+//! once over the *entire* depth in ascending order. On the f32 path every
+//! output element's accumulation chain is exactly the chain the naive
 //! i-k-j kernel produces (same terms, same order, same zero-skip on the
-//! left operand), the blocked kernel is bit-identical to the reference
-//! kernel — and therefore to itself at any pool width, since row spans
-//! only change *which worker* owns a chain, never the chain itself.
+//! left operand), so the blocked kernel is bit-identical to the reference
+//! kernel — and to itself at any pool width, since row spans only change
+//! *which worker* owns a chain, never the chain itself. On the i8 path the
+//! sums are exact integers, so every order agrees.
 //!
-//! [`PackedMatrix`] makes the packing reusable across calls: inference
-//! constants (`Linear`/`Conv` weights, attention projections) are packed
-//! once per parameter version through [`PackedCache`], which repacks only
-//! when the owner reports a new version (invalidation-on-write).
+//! [`PackedMatrix`] and [`QPackedMatrix`] make the packing reusable across
+//! calls: inference constants (`Linear`/`Conv` weights, attention
+//! projections) are packed once per parameter version through
+//! [`PackedCache`], which repacks only when the owner reports a new
+//! version (invalidation-on-write).
 
 use crate::{exec, Im2ColSpec, Tensor};
 
@@ -70,7 +79,7 @@ impl PackedMatrix {
         assert_eq!(b.shape().ndim(), 2, "pack_rhs requires rank-2");
         let (k, n) = (b.shape().dim(0), b.shape().dim(1));
         let mut data = vec![0.0f32; n.div_ceil(NR).max(1) * k * NR];
-        pack_rhs_into(&mut data, b.as_slice(), k, n);
+        pack_rhs_into(&mut data, b.as_slice(), k, n, k);
         Self {
             data,
             rows: k,
@@ -91,7 +100,7 @@ impl PackedMatrix {
         assert_eq!(w.shape().ndim(), 2, "pack_rhs_transposed requires rank-2");
         let (n, k) = (w.shape().dim(0), w.shape().dim(1));
         let mut data = vec![0.0f32; n.div_ceil(NR).max(1) * k * NR];
-        pack_rhs_transposed_into(&mut data, w.as_slice(), n, k);
+        pack_rhs_transposed_into(&mut data, w.as_slice(), n, k, k);
         Self {
             data,
             rows: k,
@@ -302,22 +311,23 @@ impl<T> SharedPackedCache<T> {
     }
 }
 
-/// Packs row-major `b` (`k × n`) into `⌈n/NR⌉` p-major column panels.
-/// `data` must be zeroed and sized `⌈n/NR⌉·k·NR` (padding lanes stay zero).
-pub(crate) fn pack_rhs_into(data: &mut [f32], src: &[f32], k: usize, n: usize) {
-    for jp in 0..n / NR {
-        // Full panels: each source row contributes NR contiguous values.
-        let panel = &mut data[jp * k * NR..(jp + 1) * k * NR];
-        for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
-            dst.copy_from_slice(&src[p * n + jp * NR..p * n + jp * NR + NR]);
-        }
-    }
-    if n % NR != 0 {
-        let jp = n / NR;
-        let width = n - jp * NR;
-        let panel = &mut data[jp * k * NR..(jp + 1) * k * NR];
-        for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
-            dst[..width].copy_from_slice(&src[p * n + jp * NR..p * n + n]);
+/// Packs row-major `b` (`k × n`) into `⌈n/NR⌉` p-major column panels of
+/// depth `kp ≥ k` (`k` for f32, `kpad(k)` for i8). `data` must be zeroed
+/// and sized `⌈n/NR⌉·kp·NR` (padding lanes and depths stay zero).
+pub(crate) fn pack_rhs_into<T: Copy>(data: &mut [T], src: &[T], k: usize, n: usize, kp: usize) {
+    for jp in 0..n.div_ceil(NR) {
+        let j0 = jp * NR;
+        let panel = &mut data[jp * kp * NR..(jp + 1) * kp * NR];
+        let depths = panel.chunks_exact_mut(NR).take(k).enumerate();
+        if j0 + NR <= n {
+            // Full panels: each source row contributes NR contiguous values.
+            for (p, dst) in depths {
+                dst.copy_from_slice(&src[p * n + j0..p * n + j0 + NR]);
+            }
+        } else {
+            for (p, dst) in depths {
+                dst[..n - j0].copy_from_slice(&src[p * n + j0..p * n + n]);
+            }
         }
     }
 }
@@ -337,16 +347,22 @@ fn pack_lhs_into(data: &mut [f32], src: &[f32], m: usize, k: usize) {
 }
 
 /// Packs the transpose of row-major `w` (`n × k`) into `⌈n/NR⌉` p-major
-/// column panels — exactly the panels [`pack_rhs_into`] would produce for
-/// the materialized `wᵀ` (`k × n`). Column `j` of `wᵀ` is row `j` of `w`,
-/// so the pack reads `w` row-wise with stride `k`. `data` must be zeroed
-/// and sized `⌈n/NR⌉·k·NR`.
-pub(crate) fn pack_rhs_transposed_into(data: &mut [f32], src: &[f32], n: usize, k: usize) {
+/// column panels of depth `kp ≥ k` — exactly the panels [`pack_rhs_into`]
+/// would produce for the materialized `wᵀ` (`k × n`). Column `j` of `wᵀ` is
+/// row `j` of `w`, so the pack reads `w` row-wise with stride `k`. `data`
+/// must be zeroed and sized `⌈n/NR⌉·kp·NR`.
+pub(crate) fn pack_rhs_transposed_into<T: Copy>(
+    data: &mut [T],
+    src: &[T],
+    n: usize,
+    k: usize,
+    kp: usize,
+) {
     for jp in 0..n.div_ceil(NR) {
         let j0 = jp * NR;
         let width = NR.min(n - j0);
-        let panel = &mut data[jp * k * NR..(jp + 1) * k * NR];
-        for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
+        let panel = &mut data[jp * kp * NR..(jp + 1) * kp * NR];
+        for (p, dst) in panel.chunks_exact_mut(NR).take(k).enumerate() {
             // Column j of wᵀ is row j of w: dst[s] = w[j0+s][p].
             for (s, v) in dst[..width].iter_mut().enumerate() {
                 *v = src[(j0 + s) * k + p];
@@ -373,28 +389,35 @@ pub(crate) fn pack_lhs_transposed_into(data: &mut [f32], src: &[f32], k: usize, 
 }
 
 /// Packs the im2col patch matrix of a `[C, H, W]` image into p-major column
-/// panels, straight from the image — exactly the panels [`pack_rhs_into`]
-/// would produce for the materialized `[C·k·k, outH·outW]` matrix, which
-/// therefore never has to exist. Lane `s` of panel `jp` at depth `p` is the
-/// zero-padded pixel kernel tap `p` reads at output position `jp·NR + s`
-/// ([`Im2ColSpec::pixel`] — the same geometry rule [`crate::im2col`]
-/// applies), so every packed value is a pure copy of the materialized one
-/// and the downstream GEMM is bit-identical. `data` must be zeroed and
-/// sized `⌈outH·outW/NR⌉·C·k²·NR`.
-pub(crate) fn pack_rhs_im2col_into(data: &mut [f32], src: &[f32], spec: &Im2ColSpec) {
+/// panels of depth `kp ≥ C·k²`, straight from the image — exactly the
+/// panels [`pack_rhs_into`] would produce for the materialized
+/// `[C·k·k, outH·outW]` matrix, which therefore never has to exist. Lane
+/// `s` of panel `jp` at depth `p` is the zero-padded pixel kernel tap `p`
+/// reads at output position `jp·NR + s` ([`Im2ColSpec::pixel`] — the same
+/// geometry rule [`crate::im2col`] applies), so every packed value is a
+/// pure copy of the materialized one and the downstream GEMM is
+/// bit-identical. Out-of-bounds taps keep the buffer's pre-zeroed lanes,
+/// which is exactly the zero padding (0 quantizes to 0 on the i8 path).
+/// `data` must be zeroed and sized `⌈outH·outW/NR⌉·kp·NR`.
+pub(crate) fn pack_rhs_im2col_into<T: Copy + Send + Sync>(
+    data: &mut [T],
+    src: &[T],
+    spec: &Im2ColSpec,
+    kp: usize,
+) {
     let rows = spec.patch_rows();
     let cols = spec.patch_cols();
     let ow = spec.out_width();
     let (h, w) = (spec.height, spec.width);
     let stride = spec.stride;
-    let panel_len = rows * NR;
+    let panel_len = kp * NR;
     // One task per column panel: panels are disjoint chunks of `data`, and
     // every lane is a pure function of (panel, p, lane), so the dispatch is
     // bit-identical at any pool width.
     exec::pool().par_rows(data, panel_len, 2 * panel_len, |jp, panel| {
         let j0 = jp * NR;
         let width = NR.min(cols - j0);
-        for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
+        for (p, dst) in panel.chunks_exact_mut(NR).take(rows).enumerate() {
             let (c, ki, kj) = spec.tap(p);
             let ib = (ki * spec.dilation) as isize - spec.padding as isize;
             let jb = (kj * spec.dilation) as isize - spec.padding as isize;
@@ -608,65 +631,69 @@ fn microkernel(a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]; MR]) {
     }
 }
 
-/// Runs the blocked GEMM over one span of output rows.
-///
-/// `span` holds rows `[row0, row0 + span.len()/n)` of the `m × n` output;
-/// `row0` is always a multiple of [`MR`] (the span dispatch aligns blocks)
-/// so A panels line up with the span. Loop order is column-panel outer /
-/// row-panel inner: the `k × NR` B panel stays resident in L1 across the
-/// whole row sweep while C lives entirely in registers until write-back.
-fn gemm_span(
-    span: &mut [f32],
-    row0: usize,
-    a_panels: &[f32],
-    b_panels: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let span_rows = if n == 0 { 0 } else { span.len() / n };
-    if span_rows == 0 || n == 0 {
-        return;
-    }
-    debug_assert_eq!(row0 % MR, 0, "span must start on an MR boundary");
+/// Computes one MR×NR f32 tile from the packed panels with the AVX2
+/// micro-kernel when `use_simd` witnessed it, else the scalar one. Both
+/// tiers produce the same bits, so dispatch can never change an output.
+#[inline]
+fn gemm_tile(a_panel: &[f32], b_panel: &[f32], use_simd: bool) -> [[f32; NR]; MR] {
+    let mut acc = [[0.0f32; NR]; MR];
     #[cfg(target_arch = "x86_64")]
-    let use_simd = simd::available();
-    let panel_b_len = k * NR;
-    let panel_a_len = k * MR;
-    for jp in 0..n.div_ceil(NR) {
-        let b_panel = &b_panels[jp * panel_b_len..(jp + 1) * panel_b_len];
-        let j0 = jp * NR;
-        let width = NR.min(n - j0);
-        let mut i0 = 0usize;
-        while i0 < span_rows {
-            let ip = (row0 + i0) / MR;
-            let a_panel = &a_panels[ip * panel_a_len..(ip + 1) * panel_a_len];
-            let height = MR.min(span_rows - i0).min(m - (row0 + i0));
-            let mut acc = [[0.0f32; NR]; MR];
-            #[cfg(target_arch = "x86_64")]
-            if use_simd {
-                // SAFETY: `use_simd` witnessed AVX2 support; the panel
-                // slices carry exactly k·MR / k·NR elements by construction.
-                #[allow(unsafe_code)]
-                unsafe {
-                    simd::microkernel(a_panel, b_panel, &mut acc)
-                };
-            } else {
-                microkernel(a_panel, b_panel, &mut acc);
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            microkernel(a_panel, b_panel, &mut acc);
-            for (r, accr) in acc.iter().take(height).enumerate() {
-                let orow = &mut span[(i0 + r) * n + j0..(i0 + r) * n + j0 + width];
-                orow.copy_from_slice(&accr[..width]);
-            }
-            i0 += MR;
-        }
+    if use_simd {
+        // SAFETY: `use_simd` witnessed AVX2 support; the panel slices
+        // carry exactly k·MR / k·NR elements by construction.
+        #[allow(unsafe_code)]
+        unsafe {
+            simd::microkernel(a_panel, b_panel, &mut acc)
+        };
+        return acc;
     }
+    let _ = use_simd;
+    microkernel(a_panel, b_panel, &mut acc);
+    acc
 }
 
-/// Blocked GEMM into a fresh output tensor: `a_panels · b_panels → [m, n]`,
+/// The blocked GEMM core behind every f32 and int8 product:
+/// `a_panels · b_panels` into the row-major `out` (`n` columns),
 /// row-span partitioned across the execution pool.
+///
+/// Each span holds output rows `[row0, row0 + span.len()/n)`; `row0` is
+/// always a multiple of [`MR`] (the span dispatch aligns blocks) so A
+/// panels line up with the span. Loop order is column-panel outer /
+/// row-panel inner: the `kp × NR` B panel stays resident in L1 across the
+/// whole row sweep while the tile lives in registers until write-back.
+/// The two path-specific steps are arguments: `tile` computes one `MR × NR`
+/// accumulator tile from a `kp`-deep panel pair, and `write(orow, acc,
+/// row, j0)` stores the accumulators of output row `row` into `orow`, its
+/// columns `j0..j0 + orow.len()`. `work_per_row` is the pool's cost hint.
+fn gemm_sweep<T: Sync, A, O: Send>(
+    out: &mut [O],
+    a_panels: &[T],
+    b_panels: &[T],
+    (kp, n): (usize, usize),
+    work_per_row: usize,
+    tile: impl Fn(&[T], &[T]) -> [[A; NR]; MR] + Sync,
+    write: impl Fn(&mut [O], &[A], usize, usize) + Sync,
+) {
+    exec::pool().par_row_spans(out, n.max(1), MR, work_per_row, |row0, span| {
+        debug_assert_eq!(row0 % MR, 0, "span must start on an MR boundary");
+        let span_rows = span.len() / n.max(1);
+        for jp in 0..n.div_ceil(NR) {
+            let b_panel = &b_panels[jp * kp * NR..(jp + 1) * kp * NR];
+            let j0 = jp * NR;
+            let width = NR.min(n - j0);
+            for i0 in (0..span_rows).step_by(MR) {
+                let ip = (row0 + i0) / MR;
+                let acc = tile(&a_panels[ip * kp * MR..(ip + 1) * kp * MR], b_panel);
+                for (r, accr) in acc.iter().take(span_rows - i0).enumerate() {
+                    let o = (i0 + r) * n + j0;
+                    write(&mut span[o..o + width], &accr[..width], row0 + i0 + r, j0);
+                }
+            }
+        }
+    });
+}
+
+/// Blocked GEMM into a fresh output tensor: `a_panels · b_panels → [m, n]`.
 pub(crate) fn gemm_packed(
     a_panels: &[f32],
     b_panels: &[f32],
@@ -674,10 +701,20 @@ pub(crate) fn gemm_packed(
     k: usize,
     n: usize,
 ) -> Tensor {
+    #[cfg(target_arch = "x86_64")]
+    let use_simd = simd::available();
+    #[cfg(not(target_arch = "x86_64"))]
+    let use_simd = false;
     let mut out = exec::take_buf_at("gemm.out", m * n);
-    exec::pool().par_row_spans(&mut out, n.max(1), MR, 2 * k * n, |row0, span| {
-        gemm_span(span, row0, a_panels, b_panels, m, k, n);
-    });
+    gemm_sweep(
+        &mut out,
+        a_panels,
+        b_panels,
+        (k, n),
+        2 * k * n,
+        |a, b| gemm_tile(a, b, use_simd),
+        |orow, acc, _, _| orow.copy_from_slice(acc),
+    );
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -753,6 +790,30 @@ fn batch_panel_offsets(lhs: &[&Tensor], k: usize) -> (Vec<usize>, usize) {
     (offsets, total)
 }
 
+/// Packs every non-empty batch member into its MR-aligned slot of the
+/// fused `kp`-deep row panels: `pack(slot, member, row0)` fills the slot of
+/// the member whose rows start at fused output row `row0`. The slots
+/// between members stay zero. Shared by the f32 and i8 batched entry
+/// points.
+fn pack_batch<T>(
+    a_panels: &mut [T],
+    lhs: &[&Tensor],
+    offsets: &[usize],
+    kp: usize,
+    mut pack: impl FnMut(&mut [T], &Tensor, usize),
+) {
+    for (a, &off) in lhs.iter().zip(offsets) {
+        let panels = a.shape().dim(0).div_ceil(MR);
+        if panels > 0 {
+            pack(
+                &mut a_panels[off * kp * MR..(off + panels) * kp * MR],
+                a,
+                off * MR,
+            );
+        }
+    }
+}
+
 /// Splits the fused `[panels·MR, n]` output back into one tensor per batch
 /// member, dropping the zero padding rows between members.
 fn split_batch_out(out: Tensor, lhs: &[&Tensor], offsets: &[usize], n: usize) -> Vec<Tensor> {
@@ -807,22 +868,11 @@ pub fn matmul_packed_batched(lhs: &[&Tensor], rhs: &PackedMatrix) -> Vec<Tensor>
             .map(|a| Tensor::zeros(&[a.shape().dim(0), n]))
             .collect();
     }
-    let m_pad = total_panels * MR;
     let mut a_panels = exec::take_buf_at("gemm.batch_lhs", total_panels * k * MR);
-    for (a, &off) in lhs.iter().zip(&offsets) {
-        let m = a.shape().dim(0);
-        if m == 0 {
-            continue;
-        }
-        let panels = m.div_ceil(MR);
-        pack_lhs_into(
-            &mut a_panels[off * k * MR..(off + panels) * k * MR],
-            a.as_slice(),
-            m,
-            k,
-        );
-    }
-    let out = gemm_packed(&a_panels, rhs.panels(), m_pad, k, n);
+    pack_batch(&mut a_panels, lhs, &offsets, k, |slot, a, _| {
+        pack_lhs_into(slot, a.as_slice(), a.shape().dim(0), k);
+    });
+    let out = gemm_packed(&a_panels, rhs.panels(), total_panels * MR, k, n);
     exec::recycle_buf(a_panels);
     split_batch_out(out, lhs, &offsets, n)
 }
@@ -857,7 +907,7 @@ impl PackedMatrix {
             rhs.shape()
         );
         let mut b_panels = exec::take_buf_at("gemm.pack_rhs", n.div_ceil(NR).max(1) * k * NR);
-        pack_rhs_into(&mut b_panels, rhs.as_slice(), k, n);
+        pack_rhs_into(&mut b_panels, rhs.as_slice(), k, n, k);
         let out = gemm_packed(self.panels(), &b_panels, self.rows(), k, n);
         exec::recycle_buf(b_panels);
         out
@@ -899,7 +949,7 @@ impl PackedMatrix {
             k
         );
         let mut b_panels = exec::take_buf_at("gemm.pack_im2col", n.div_ceil(NR).max(1) * k * NR);
-        pack_rhs_im2col_into(&mut b_panels, input.as_slice(), spec);
+        pack_rhs_im2col_into(&mut b_panels, input.as_slice(), spec, k);
         let out = gemm_packed(self.panels(), &b_panels, self.rows(), k, n);
         exec::recycle_buf(b_panels);
         out
@@ -948,35 +998,27 @@ impl Tensor {
 }
 
 // ---------------------------------------------------------------------------
-// Int8 inference path: i8×i8→i32 panels, kernels and per-channel rescale.
+// Int8 inference path: quantization, i8 A panels, kernels and rescale.
 // ---------------------------------------------------------------------------
 //
-// The quantized GEMM mirrors the f32 path one-for-one — same MR×NR register
-// tiles, same panel-per-worker dispatch — but stores panels as `i8` with the
-// k extent padded to an *even* length (the kernels consume depth *pairs*,
-// two multiply-accumulates per `_mm256_madd_epi16` lane):
+// The int8 path runs on the f32 core: the same MR×NR tiles, rhs packers and
+// `gemm_sweep`. Three things are its own. The depth pads to `kpad(k)`, as
+// the kernels consume depth *pairs* (two multiply-accumulates per `madd`
+// lane). A row panels are pair-interleaved: per pair `pp`, the 8 bytes
+// `[a[r][2pp], a[r][2pp+1]]` for ascending row `r`, so one 64-bit load and
+// a sign-extension yield all four rows' pairs; the SIMD kernels interleave
+// the two p-major B depth rows of a pair in-register to match. And the
+// write-back rescales the i32 tile to f32 ([`QRescale`]).
 //
-// * a B column panel keeps the f32 path's plain p-major layout (`b[p][j]`
-//   at `p·NR + j`), so the RHS and im2col packers stay contiguous copies;
-//   the AVX2 kernel interleaves the two depth rows of a pair in-register
-//   (`punpcklbw`/`punpckhbw`) into the pair-of-i16 shape `madd` wants;
-// * an A row panel stores, per pair `pp`, the 8 bytes
-//   `[a[r][2pp], a[r][2pp+1]]` for ascending row `r`, so one 64-bit load
-//   plus a sign-extension yields all four rows' pairs and a `vpermd`
-//   broadcast feeds each row's `madd`.
-//
-// Bit-identity here is *stronger* than in the f32 path: i8×i8 products and
-// their i32 sums are exact (no rounding exists to reorder), so the scalar
-// reference kernel, the AVX2 kernel and any pool width agree bit-for-bit by
-// construction. The padding pairs multiply as zero and add nothing. The i32
-// accumulator cannot overflow below k ≈ 1.3·10⁵ (k·127² ≤ i32::MAX), far
-// beyond any reduction in this workspace; `_mm256_madd_epi16`'s only
-// saturating case (both pair operands −32768) is unreachable from i8 inputs.
+// Bit-identity is *stronger* than on the f32 path: i8×i8 products and their
+// i32 sums are exact, so every kernel tier and pool width agree by
+// construction, and padding pairs add nothing. The i32 accumulator cannot
+// overflow below k ≈ 1.3·10⁵ (k·127² ≤ i32::MAX); `madd`'s only saturating
+// case (both pair operands −32768) is unreachable from i8 inputs.
 //
 // Scales are symmetric: activations quantize per-tensor on the fly, weights
 // per output channel at pack time (the channel axis is never the contracted
-// axis, so the scale factors out of the integer sum exactly). The i32
-// accumulator rescales to f32 once at write-back.
+// axis, so the scale factors out of the integer sum exactly).
 
 /// The k extent padded to an even number of depths (the pair layout).
 #[inline]
@@ -1029,11 +1071,11 @@ fn quantize_rows(src: &[f32], rows: usize, cols: usize) -> (Vec<i8>, Vec<f32>) {
     (q, scales)
 }
 
-/// A weight matrix quantized to i8 and repacked into pair-interleaved
-/// micro-kernel panels, with one symmetric scale per output channel
-/// (per column for Rhs panels, per row for Lhs panels).
+/// A weight matrix quantized to i8 and repacked into `kpad(k)`-deep panels
+/// (pair-interleaved Lhs, p-major Rhs), with one symmetric scale per output
+/// channel (per column for Rhs panels, per row for Lhs panels).
 ///
-/// This is the quantized sibling of [`PackedMatrix`]: `Linear` and `Conv2d`
+/// This is the int8 counterpart of [`PackedMatrix`]: `Linear` and `Conv2d`
 /// build one per parameter version through [`PackedCache`], so weights are
 /// quantized and packed once per update, never per frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -1062,7 +1104,7 @@ impl QPackedMatrix {
         let (n, k) = (w.shape().dim(0), w.shape().dim(1));
         let (q, scales) = quantize_rows(w.as_slice(), n, k);
         let mut data = vec![0i8; n.div_ceil(NR).max(1) * kpad(k) * NR];
-        pack_rhs_transposed_q_into(&mut data, &q, n, k);
+        pack_rhs_transposed_into(&mut data, &q, n, k, kpad(k));
         Self {
             data,
             rows: k,
@@ -1114,43 +1156,9 @@ impl QPackedMatrix {
         &self.scales
     }
 
-    /// The packed i8 panel storage (pair-interleaved; see above).
+    /// The packed i8 panel storage (see "Int8 inference path" above).
     pub(crate) fn panels(&self) -> &[i8] {
         &self.data
-    }
-}
-
-/// Packs row-major i8 `b` (`k × n`) into p-major column panels — the same
-/// copy pattern as [`pack_rhs_into`], with the depth extent padded to
-/// `kpad(k)`. `data` must be zeroed and sized `⌈n/NR⌉·kpad(k)·NR`.
-pub(crate) fn pack_rhs_q_into(data: &mut [i8], src: &[i8], k: usize, n: usize) {
-    let kp = kpad(k);
-    for jp in 0..n.div_ceil(NR) {
-        let j0 = jp * NR;
-        let width = NR.min(n - j0);
-        let panel = &mut data[jp * kp * NR..(jp + 1) * kp * NR];
-        for (p, dst) in panel.chunks_exact_mut(NR).take(k).enumerate() {
-            dst[..width].copy_from_slice(&src[p * n + j0..p * n + j0 + width]);
-        }
-    }
-}
-
-/// Packs the transpose of row-major i8 `w` (`n × k`) into p-major column
-/// panels — the quantized sibling of [`pack_rhs_transposed_into`], with
-/// the depth extent padded to `kpad(k)`. `data` must be zeroed and sized
-/// `⌈n/NR⌉·kpad(k)·NR`.
-pub(crate) fn pack_rhs_transposed_q_into(data: &mut [i8], src: &[i8], n: usize, k: usize) {
-    let kp = kpad(k);
-    for jp in 0..n.div_ceil(NR) {
-        let j0 = jp * NR;
-        let width = NR.min(n - j0);
-        let panel = &mut data[jp * kp * NR..(jp + 1) * kp * NR];
-        for (p, dst) in panel.chunks_exact_mut(NR).take(k).enumerate() {
-            // Column j of wᵀ is row j of w: lane s reads w[j0+s][p].
-            for (s, v) in dst[..width].iter_mut().enumerate() {
-                *v = src[(j0 + s) * k + p];
-            }
-        }
     }
 }
 
@@ -1171,83 +1179,8 @@ pub(crate) fn pack_lhs_q_into(data: &mut [i8], src: &[i8], m: usize, k: usize) {
     }
 }
 
-/// Packs the im2col patch matrix of a quantized `[C, H, W]` image into
-/// p-major column panels, straight from the i8 image — the quantized twin
-/// of [`pack_rhs_im2col_into`], reusing the same precomputed in-bounds
-/// run bounds for the strided gather (only the element type and the
-/// even-padded depth extent differ). Out-of-bounds taps keep the buffer's
-/// pre-zeroed lanes, which is exactly the zero padding: 0 maps to 0 under
-/// symmetric quantization. `data` must be zeroed and sized
-/// `⌈outH·outW/NR⌉·kpad(C·k²)·NR`.
-pub(crate) fn pack_rhs_im2col_q_into(data: &mut [i8], src: &[i8], spec: &Im2ColSpec) {
-    let rows = spec.patch_rows();
-    let cols = spec.patch_cols();
-    let ow = spec.out_width();
-    let (h, w) = (spec.height, spec.width);
-    let stride = spec.stride;
-    let panel_len = kpad(rows) * NR;
-    // One task per column panel, same width-invariance argument as the f32
-    // twin: panels are disjoint chunks and every lane is a pure function of
-    // (panel, p, lane).
-    exec::pool().par_rows(data, panel_len, 2 * panel_len, |jp, panel| {
-        let j0 = jp * NR;
-        let width = NR.min(cols - j0);
-        for (p, dst) in panel.chunks_exact_mut(NR).take(rows).enumerate() {
-            let (c, ki, kj) = spec.tap(p);
-            let ib = (ki * spec.dilation) as isize - spec.padding as isize;
-            let jb = (kj * spec.dilation) as isize - spec.padding as isize;
-            let plane = &src[c * h * w..(c + 1) * h * w];
-            // Lanes sharing an output row form a run whose input reads
-            // advance by `stride`.
-            let mut s = 0;
-            while s < width {
-                let (oi, oj) = ((j0 + s) / ow, (j0 + s) % ow);
-                let run = (ow - oj).min(width - s);
-                let ii = (oi * stride) as isize + ib;
-                if 0 <= ii && ii < h as isize {
-                    let row = &plane[ii as usize * w..(ii as usize + 1) * w];
-                    let jj = (oj * stride) as isize + jb;
-                    if stride == 1 {
-                        // Unit stride: the in-bounds middle of the run is one
-                        // contiguous copy from the input row.
-                        let lo = (-jj).clamp(0, run as isize) as usize;
-                        let hi = (w as isize - jj).clamp(0, run as isize) as usize;
-                        if hi > lo {
-                            dst[s + lo..s + hi].copy_from_slice(
-                                &row[(jj + lo as isize) as usize..(jj + hi as isize) as usize],
-                            );
-                        }
-                    } else {
-                        // Strided gather through the precomputed in-bounds
-                        // lane range [lo, hi): lane t reads column
-                        // jj + t·stride (the PR-7 run-bounds trick).
-                        let lo = if jj >= 0 {
-                            0
-                        } else {
-                            ((-jj) as usize).div_ceil(stride).min(run)
-                        };
-                        let hi = if (w as isize) > jj {
-                            ((w as isize - jj) as usize).div_ceil(stride).min(run)
-                        } else {
-                            0
-                        };
-                        if hi > lo {
-                            let mut src_j = (jj + (lo * stride) as isize) as usize;
-                            for v in &mut dst[s + lo..s + hi] {
-                                *v = row[src_j];
-                                src_j += stride;
-                            }
-                        }
-                    }
-                }
-                s += run;
-            }
-        }
-    });
-}
-
 /// The scalar i8 reference micro-kernel: accumulates the full-`k` product
-/// of one pair-interleaved A panel and one pair-interleaved B panel into
+/// of one pair-interleaved A panel and one p-major B panel into
 /// the `i32` tile. Integer arithmetic is exact, so this kernel defines the
 /// bit pattern every other i8 kernel (and every pool width) must reproduce.
 #[inline]
@@ -1319,81 +1252,57 @@ fn qgemm_tile(a_panel: &[i8], b_panel: &[i8], simd_level: u8) -> [[i32; NR]; MR]
 /// the output rows (Lhs-packed weights).
 enum QRescale<'a> {
     /// Weight scales indexed by output column (`Linear`: `x · Wᵀ`).
-    PerCol { act: f32, w: &'a [f32] },
+    Col { act: f32, w: &'a [f32] },
     /// Weight scales indexed by output row (`Conv2d`: `W · im2col`).
-    PerRow { act: f32, w: &'a [f32] },
+    Row { act: f32, w: &'a [f32] },
     /// Weight scales indexed by output column, activation scale indexed by
     /// output *row* — the cross-session batched `Linear` shape, where each
     /// session's activations were quantized with their own per-tensor
     /// scale. Write-back evaluates `acc · (acts[row] · w[col])`, the exact
-    /// float expression [`QRescale::PerCol`] uses, so a batched row is
+    /// float expression [`QRescale::Col`] uses, so a batched row is
     /// bit-identical to the same row rescaled solo.
-    PerColRowAct { acts: &'a [f32], w: &'a [f32] },
+    ColRowAct { acts: &'a [f32], w: &'a [f32] },
 }
 
-/// Runs the quantized blocked GEMM over one span of output rows,
-/// rescaling each i32 accumulator to f32 at write-back. Same span
-/// geometry as [`gemm_span`]; `kp` is the pair-padded depth.
-fn qgemm_span(
-    span: &mut [f32],
-    row0: usize,
-    a_panels: &[i8],
-    b_panels: &[i8],
-    m: usize,
-    kp: usize,
-    n: usize,
-    rescale: &QRescale,
-) {
-    let span_rows = if n == 0 { 0 } else { span.len() / n };
-    if span_rows == 0 {
-        return;
-    }
-    debug_assert_eq!(row0 % MR, 0, "span must start on an MR boundary");
-    #[cfg(target_arch = "x86_64")]
-    let simd_level = simd_i8::level();
-    #[cfg(not(target_arch = "x86_64"))]
-    let simd_level = 0u8;
-    let panel_b_len = kp * NR;
-    let panel_a_len = kp * MR;
-    for jp in 0..n.div_ceil(NR) {
-        let b_panel = &b_panels[jp * panel_b_len..(jp + 1) * panel_b_len];
-        let j0 = jp * NR;
-        let width = NR.min(n - j0);
-        let mut i0 = 0usize;
-        while i0 < span_rows {
-            let ip = (row0 + i0) / MR;
-            let a_panel = &a_panels[ip * panel_a_len..(ip + 1) * panel_a_len];
-            let height = MR.min(span_rows - i0).min(m - (row0 + i0));
-            let acc = qgemm_tile(a_panel, b_panel, simd_level);
-            for (r, accr) in acc.iter().take(height).enumerate() {
-                let orow = &mut span[(i0 + r) * n + j0..(i0 + r) * n + j0 + width];
-                match rescale {
-                    QRescale::PerCol { act, w } => {
-                        for (s, o) in orow.iter_mut().enumerate() {
-                            *o = accr[s] as f32 * (act * w[j0 + s]);
-                        }
-                    }
-                    QRescale::PerRow { act, w } => {
-                        let factor = act * w[row0 + i0 + r];
-                        for (s, o) in orow.iter_mut().enumerate() {
-                            *o = accr[s] as f32 * factor;
-                        }
-                    }
-                    QRescale::PerColRowAct { acts, w } => {
-                        let act = acts[row0 + i0 + r];
-                        for (s, o) in orow.iter_mut().enumerate() {
-                            *o = accr[s] as f32 * (act * w[j0 + s]);
-                        }
-                    }
+impl QRescale<'_> {
+    /// Rescales the accumulators of output row `row`, columns
+    /// `j0..j0 + orow.len()`, into `orow`.
+    #[inline]
+    fn write(&self, orow: &mut [f32], acc: &[i32], row: usize, j0: usize) {
+        match *self {
+            QRescale::Col { act, w } => {
+                for (s, o) in orow.iter_mut().enumerate() {
+                    *o = acc[s] as f32 * (act * w[j0 + s]);
                 }
             }
-            i0 += MR;
+            QRescale::Row { act, w } => {
+                let factor = act * w[row];
+                for (s, o) in orow.iter_mut().enumerate() {
+                    *o = acc[s] as f32 * factor;
+                }
+            }
+            QRescale::ColRowAct { acts, w } => {
+                let act = acts[row];
+                for (s, o) in orow.iter_mut().enumerate() {
+                    *o = acc[s] as f32 * (act * w[j0 + s]);
+                }
+            }
         }
     }
 }
 
-/// Quantized blocked GEMM into a fresh f32 tensor, row-span partitioned
-/// across the execution pool exactly like [`gemm_packed`].
+/// The i8 kernel tier this host supports (see `simd_i8::level`; always
+/// the scalar reference off x86-64).
+fn i8_level() -> u8 {
+    #[cfg(target_arch = "x86_64")]
+    return simd_i8::level();
+    #[cfg(not(target_arch = "x86_64"))]
+    0
+}
+
+/// Quantized blocked GEMM into a fresh f32 tensor: the shared
+/// [`gemm_sweep`] over `kpad(k)`-deep i8 panels, rescaling each i32
+/// accumulator at write-back.
 fn qgemm_packed(
     a_panels: &[i8],
     b_panels: &[i8],
@@ -1402,12 +1311,17 @@ fn qgemm_packed(
     n: usize,
     rescale: QRescale<'_>,
 ) -> Tensor {
-    let kp = kpad(k);
-    let rescale = &rescale;
+    let level = i8_level();
     let mut out = exec::take_buf_at("qgemm.out", m * n);
-    exec::pool().par_row_spans(&mut out, n.max(1), MR, k * n, |row0, span| {
-        qgemm_span(span, row0, a_panels, b_panels, m, kp, n, rescale);
-    });
+    gemm_sweep(
+        &mut out,
+        a_panels,
+        b_panels,
+        (kpad(k), n),
+        k * n,
+        |a, b| qgemm_tile(a, b, level),
+        |orow, acc, row, j0| rescale.write(orow, acc, row, j0),
+    );
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -1429,52 +1343,19 @@ pub fn qgemm_i8(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Vec<i32> {
     let mut a_panels = vec![0i8; m.div_ceil(MR).max(1) * kp * MR];
     pack_lhs_q_into(&mut a_panels, a, m, k);
     let mut b_panels = vec![0i8; n.div_ceil(NR).max(1) * kp * NR];
-    pack_rhs_q_into(&mut b_panels, b, k, n);
+    pack_rhs_into(&mut b_panels, b, k, n, kp);
+    let level = i8_level();
     let mut out = vec![0i32; m * n];
-    exec::pool().par_row_spans(&mut out, n.max(1), MR, k * n, |row0, span| {
-        qgemm_span_i32(span, row0, &a_panels, &b_panels, m, kp, n);
-    });
+    gemm_sweep(
+        &mut out,
+        &a_panels,
+        &b_panels,
+        (kp, n),
+        k * n,
+        |a, b| qgemm_tile(a, b, level),
+        |orow, acc, _, _| orow.copy_from_slice(acc),
+    );
     out
-}
-
-/// Integer-output sibling of [`qgemm_span`]: writes the raw i32 tile.
-fn qgemm_span_i32(
-    span: &mut [i32],
-    row0: usize,
-    a_panels: &[i8],
-    b_panels: &[i8],
-    m: usize,
-    kp: usize,
-    n: usize,
-) {
-    let span_rows = if n == 0 { 0 } else { span.len() / n };
-    if span_rows == 0 {
-        return;
-    }
-    debug_assert_eq!(row0 % MR, 0, "span must start on an MR boundary");
-    #[cfg(target_arch = "x86_64")]
-    let simd_level = simd_i8::level();
-    #[cfg(not(target_arch = "x86_64"))]
-    let simd_level = 0u8;
-    let panel_b_len = kp * NR;
-    let panel_a_len = kp * MR;
-    for jp in 0..n.div_ceil(NR) {
-        let b_panel = &b_panels[jp * panel_b_len..(jp + 1) * panel_b_len];
-        let j0 = jp * NR;
-        let width = NR.min(n - j0);
-        let mut i0 = 0usize;
-        while i0 < span_rows {
-            let ip = (row0 + i0) / MR;
-            let a_panel = &a_panels[ip * panel_a_len..(ip + 1) * panel_a_len];
-            let height = MR.min(span_rows - i0).min(m - (row0 + i0));
-            let acc = qgemm_tile(a_panel, b_panel, simd_level);
-            for (r, accr) in acc.iter().take(height).enumerate() {
-                let orow = &mut span[(i0 + r) * n + j0..(i0 + r) * n + j0 + width];
-                orow.copy_from_slice(&accr[..width]);
-            }
-            i0 += MR;
-        }
-    }
 }
 
 impl Tensor {
@@ -1517,7 +1398,7 @@ impl Tensor {
             m,
             k,
             rhs.cols(),
-            QRescale::PerCol {
+            QRescale::Col {
                 act,
                 w: rhs.scales(),
             },
@@ -1525,12 +1406,12 @@ impl Tensor {
     }
 }
 
-/// Cross-session batched quantized matrix product: the i8 twin of
+/// Cross-session batched quantized matrix product: the i8 counterpart of
 /// [`matmul_packed_batched`]. Every member's activations quantize with
 /// their **own** per-tensor scale — exactly the scale the sequential
 /// [`Tensor::qmatmul_packed`] call computes — and the fused write-back
 /// rescales each output row by its member's activation scale
-/// ([`QRescale::PerColRowAct`]). Integer accumulation is exact and the
+/// ([`QRescale::ColRowAct`]). Integer accumulation is exact and the
 /// rescale expression matches the solo path term-for-term, so every
 /// returned tensor is bit-identical to the corresponding sequential call,
 /// at any pool width and kernel tier.
@@ -1561,28 +1442,19 @@ pub fn qmatmul_packed_batched(lhs: &[&Tensor], rhs: &QPackedMatrix) -> Vec<Tenso
     // Padding rows rescale by 1.0 · w, but their exact-zero accumulators
     // make the product 0.0 regardless; the rows are dropped at the split.
     let mut row_acts = vec![1.0f32; m_pad];
-    for (a, &off) in lhs.iter().zip(&offsets) {
+    pack_batch(&mut a_panels, lhs, &offsets, kp, |slot, a, row0| {
         let m = a.shape().dim(0);
-        if m == 0 {
-            continue;
-        }
-        let panels = m.div_ceil(MR);
         let (qa, act) = quantize_slice(a.as_slice());
-        pack_lhs_q_into(
-            &mut a_panels[off * kp * MR..(off + panels) * kp * MR],
-            &qa,
-            m,
-            k,
-        );
-        row_acts[off * MR..off * MR + m].fill(act);
-    }
+        pack_lhs_q_into(slot, &qa, m, k);
+        row_acts[row0..row0 + m].fill(act);
+    });
     let out = qgemm_packed(
         &a_panels,
         rhs.panels(),
         m_pad,
         k,
         n,
-        QRescale::PerColRowAct {
+        QRescale::ColRowAct {
             acts: &row_acts,
             w: rhs.scales(),
         },
@@ -1618,14 +1490,14 @@ impl QPackedMatrix {
         );
         let (qb, act) = quantize_slice(rhs.as_slice());
         let mut b_panels = vec![0i8; n.div_ceil(NR).max(1) * kpad(k) * NR];
-        pack_rhs_q_into(&mut b_panels, &qb, k, n);
+        pack_rhs_into(&mut b_panels, &qb, k, n, kpad(k));
         qgemm_packed(
             self.panels(),
             &b_panels,
             self.rows(),
             k,
             n,
-            QRescale::PerRow {
+            QRescale::Row {
                 act,
                 w: self.scales(),
             },
@@ -1634,8 +1506,8 @@ impl QPackedMatrix {
 
     /// Quantized implicit-GEMM convolution forward:
     /// `self · im2col(input, spec)` with the patch matrix packed straight
-    /// from the quantized image by [`pack_rhs_im2col_q_into`] — the
-    /// quantized twin of [`PackedMatrix::matmul_im2col`].
+    /// from the quantized image by [`pack_rhs_im2col_into`] — the
+    /// quantized counterpart of [`PackedMatrix::matmul_im2col`].
     ///
     /// # Panics
     ///
@@ -1665,14 +1537,14 @@ impl QPackedMatrix {
         );
         let (qimg, act) = quantize_slice(input.as_slice());
         let mut b_panels = vec![0i8; n.div_ceil(NR).max(1) * kpad(k) * NR];
-        pack_rhs_im2col_q_into(&mut b_panels, &qimg, spec);
+        pack_rhs_im2col_into(&mut b_panels, &qimg, spec, kpad(k));
         qgemm_packed(
             self.panels(),
             &b_panels,
             self.rows(),
             k,
             n,
-            QRescale::PerRow {
+            QRescale::Row {
                 act,
                 w: self.scales(),
             },
@@ -1731,14 +1603,14 @@ mod tests {
         let cols = crate::im2col(&img, &spec);
         let (k, n) = (spec.patch_rows(), spec.patch_cols());
         let mut want = vec![0.0f32; n.div_ceil(NR).max(1) * k * NR];
-        pack_rhs_into(&mut want, cols.as_slice(), k, n);
+        pack_rhs_into(&mut want, cols.as_slice(), k, n, k);
         let mut got = vec![0.0f32; want.len()];
-        pack_rhs_im2col_into(&mut got, img.as_slice(), &spec);
+        pack_rhs_im2col_into(&mut got, img.as_slice(), &spec, k);
         assert_eq!(got, want);
         // And the transposed packing against the materialized transpose.
         let cols_t = cols.transpose();
         let mut want_t = vec![0.0f32; k.div_ceil(NR).max(1) * n * NR];
-        pack_rhs_into(&mut want_t, cols_t.as_slice(), n, k);
+        pack_rhs_into(&mut want_t, cols_t.as_slice(), n, k, n);
         let mut got_t = vec![0.0f32; want_t.len()];
         pack_rhs_im2col_t_into(&mut got_t, img.as_slice(), &spec);
         assert_eq!(got_t, want_t);
@@ -1769,9 +1641,9 @@ mod tests {
             let cols = crate::im2col(&img, &spec);
             let (k, n) = (spec.patch_rows(), spec.patch_cols());
             let mut want = vec![0.0f32; n.div_ceil(NR).max(1) * k * NR];
-            pack_rhs_into(&mut want, cols.as_slice(), k, n);
+            pack_rhs_into(&mut want, cols.as_slice(), k, n, k);
             let mut got = vec![0.0f32; want.len()];
-            pack_rhs_im2col_into(&mut got, img.as_slice(), &spec);
+            pack_rhs_im2col_into(&mut got, img.as_slice(), &spec, k);
             assert_eq!(
                 got, want,
                 "stride {stride} dilation {dilation} padding {padding}"
@@ -1897,6 +1769,69 @@ mod tests {
             .collect()
     }
 
+    /// Dispatch always picks the best tier the host has, so the slower
+    /// tiers would go untested on a SIMD host: this calls each tier the
+    /// host supports directly on the same panels and pins it to the scalar
+    /// kernel — bit-identical for f32, equal integers for i8.
+    #[test]
+    fn every_kernel_tier_matches_the_scalar_kernel() {
+        use crate::{normal, seeded_rng};
+        for (i, k) in [1usize, 2, 7, 8, 33, 64].into_iter().enumerate() {
+            let mut rng = seeded_rng(700 + i as u64);
+            // f32: exact zeros in A exercise the zero-skip in every tier.
+            let a =
+                normal(&mut rng, &[MR, k], 0.0, 1.0).map(|v| if v.abs() < 0.3 { 0.0 } else { v });
+            let b = normal(&mut rng, &[k, NR], 0.0, 1.0);
+            let (mut ap, mut bp) = (vec![0.0f32; k * MR], vec![0.0f32; k * NR]);
+            pack_lhs_into(&mut ap, a.as_slice(), MR, k);
+            pack_rhs_into(&mut bp, b.as_slice(), k, NR, k);
+            let bits = |t: [[f32; NR]; MR]| t.map(|row| row.map(f32::to_bits));
+            let scalar = bits(gemm_tile(&ap, &bp, false));
+            #[cfg(target_arch = "x86_64")]
+            if simd::available() {
+                assert_eq!(
+                    bits(gemm_tile(&ap, &bp, true)),
+                    scalar,
+                    "f32 AVX2 tier, k={k}"
+                );
+            }
+            // i8: every third value pinned to ±127, the extremes of the
+            // symmetric range (the largest pair sums the kernels see).
+            let extreme = |v: Vec<i8>| -> Vec<i8> {
+                v.into_iter()
+                    .enumerate()
+                    .map(|(j, x)| {
+                        if j % 3 == 0 {
+                            if x < 0 {
+                                -127
+                            } else {
+                                127
+                            }
+                        } else {
+                            x
+                        }
+                    })
+                    .collect()
+            };
+            let qa = extreme(random_i8(&mut rng, MR * k));
+            let qb = extreme(random_i8(&mut rng, k * NR));
+            let kp = kpad(k);
+            let (mut qap, mut qbp) = (vec![0i8; kp * MR], vec![0i8; kp * NR]);
+            pack_lhs_q_into(&mut qap, &qa, MR, k);
+            pack_rhs_into(&mut qbp, &qb, k, NR, kp);
+            let scalar = qgemm_tile(&qap, &qbp, 0);
+            let want = qgemm_reference(&qa, &qb, MR, k, NR);
+            assert_eq!(scalar.concat(), want, "scalar i8 kernel, k={k}");
+            for level in 1..=i8_level() {
+                assert_eq!(
+                    qgemm_tile(&qap, &qbp, level),
+                    scalar,
+                    "i8 tier {level}, k={k}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn quantized_gemm_bit_identical_to_integer_reference_on_ragged_shapes() {
         use crate::seeded_rng;
@@ -2016,9 +1951,9 @@ mod tests {
             let qcols: Vec<i8> = cols.as_slice().iter().map(|&v| v as i8).collect();
             let (k, n) = (spec.patch_rows(), spec.patch_cols());
             let mut want = vec![0i8; n.div_ceil(NR).max(1) * kpad(k) * NR];
-            pack_rhs_q_into(&mut want, &qcols, k, n);
+            pack_rhs_into(&mut want, &qcols, k, n, kpad(k));
             let mut got = vec![0i8; want.len()];
-            pack_rhs_im2col_q_into(&mut got, &qimg, &spec);
+            pack_rhs_im2col_into(&mut got, &qimg, &spec, kpad(k));
             assert_eq!(
                 got, want,
                 "stride {stride} dilation {dilation} padding {padding}"
